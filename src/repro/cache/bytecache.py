@@ -1,11 +1,12 @@
 """Byte-budgeted mapping with pluggable eviction (``PolicyCache``).
 
-The generic cache behind the LSM block cache, the RocksDB-like row
-cache, and the on-disk B+ tree's small transfer-buffer read cache.
-Entries are charged by a caller-supplied byte size so the budget is a
-real memory budget, matching how the paper configures these caches to
-"a few megabytes" (Section II-D); *which* entry leaves under pressure is
-delegated to a :class:`~repro.cache.policy.CachePolicy`.
+The generic cache behind the LSM block cache and the LSM row cache;
+``LSMStore`` is the only component that builds one (the on-disk B+
+tree's buffer pool drives a :class:`~repro.cache.policy.CachePolicy`
+directly).  Entries are charged by a caller-supplied byte size so the
+budget is a real memory budget, matching how the paper configures these
+caches to "a few megabytes" (Section II-D); *which* entry leaves under
+pressure is delegated to a :class:`~repro.cache.policy.CachePolicy`.
 
 With the default ``lru`` policy the behaviour (hit/miss/eviction
 sequence included) is identical to the historical ``LRUCache`` this

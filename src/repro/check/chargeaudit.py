@@ -26,6 +26,7 @@ single-op cousins) and is wired into ``python -m repro.bench
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
@@ -102,11 +103,11 @@ class AuditedDisk(SimDisk):
         super().__init__(spec)
         self.log = log
 
-    def read(self, offset: int) -> bytes:
+    def read(self, offset: int) -> Any:
         self.log.note("disk_read")
         return super().read(offset)
 
-    def write(self, offset: int, data: bytes) -> float:
+    def write(self, offset: int, data: Sized) -> float:
         self.log.note("disk_write")
         return super().write(offset, data)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from struct import Struct
 from typing import Iterator, Optional
 
 from repro.lsm.bloom import BloomFilter
@@ -21,42 +20,31 @@ from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.effects import charges
 
-_KLEN_BYTES = 2
-_VLEN_BYTES = 4
+#: per-entry header of the length-prefixed record format a block's size
+#: is measured in: key length (2 bytes) + value length (4 bytes).
+_ENTRY_HEADER_BYTES = 6
 
-#: key length(2) + value length(4), big-endian — same wire format as the
-#: original per-field ``int.to_bytes`` encoding.
-_ENTRY_HEADER = Struct(">HI")
-
-
-def encode_block(entries: list[tuple[bytes, bytes]]) -> bytes:
-    """Serialize entries as length-prefixed key/value records."""
-    parts: list[bytes] = []
-    append = parts.append
-    pack = _ENTRY_HEADER.pack
-    for key, value in entries:
-        append(pack(len(key), len(value)))
-        append(key)
-        append(value)
-    return b"".join(parts)
+Entry = tuple[bytes, bytes]
 
 
-def decode_block(blob: bytes) -> list[tuple[bytes, bytes]]:
-    """Invert :func:`encode_block`."""
-    entries: list[tuple[bytes, bytes]] = []
-    append = entries.append
-    unpack = _ENTRY_HEADER.unpack_from
-    pos = 0
-    end = len(blob)
-    while pos < end:
-        klen, vlen = unpack(blob, pos)
-        pos += 6
-        key = blob[pos : pos + klen]
-        pos += klen
-        value = blob[pos : pos + vlen]
-        pos += vlen
-        append((key, value))
-    return entries
+class BlockImage:
+    """One data block as the disk holds it: sorted entries plus wire size.
+
+    ``len()`` is the size of the block in the length-prefixed record
+    format, Σ(6 + |key| + |value|), so every disk byte count, seek,
+    copy charge and block-cache budget is that of the encoded block.
+    The simulated device only ever measures a blob, so the block is
+    never serialized; the entries tuple is what a read hands back.
+    """
+
+    __slots__ = ("entries", "nbytes")
+
+    def __init__(self, entries: tuple[Entry, ...], nbytes: int) -> None:
+        self.entries = entries
+        self.nbytes = nbytes
+
+    def __len__(self) -> int:
+        return self.nbytes
 
 
 class SSTable:
@@ -96,7 +84,7 @@ class SSTable:
         cls,
         table_id: int,
         disk: SimDisk,
-        pairs: list[tuple[bytes, bytes]],
+        pairs: list[Entry],
         block_size: int = 4096,
         bits_per_key: int = 10,
         clock: SimClock | None = None,
@@ -106,38 +94,38 @@ class SSTable:
         """Write ``pairs`` (sorted, unique keys) as a new table.
 
         The extent is allocated once and blocks are written back-to-back,
-        so every write after the first is sequential on the device.
+        so every write after the first is sequential on the device.  Each
+        block is an immutable :class:`BlockImage` holding its own tuple of
+        the entries, so later changes to ``pairs`` cannot reach the table.
         """
         if not pairs:
             raise ValueError("cannot build an empty SSTable")
         costs = costs or CostModel()
 
-        blocks: list[list[tuple[bytes, bytes]]] = []
-        current: list[tuple[bytes, bytes]] = []
+        images: list[BlockImage] = []
+        start = 0
         current_bytes = 0
-        for key, value in pairs:
-            entry_bytes = _KLEN_BYTES + _VLEN_BYTES + len(key) + len(value)
-            if current and current_bytes + entry_bytes > block_size:
-                blocks.append(current)
-                current = []
+        for end, (key, value) in enumerate(pairs):
+            entry_bytes = _ENTRY_HEADER_BYTES + len(key) + len(value)
+            if end > start and current_bytes + entry_bytes > block_size:
+                images.append(BlockImage(tuple(pairs[start:end]), current_bytes))
+                start = end
                 current_bytes = 0
-            current.append((key, value))
             current_bytes += entry_bytes
-        blocks.append(current)
+        images.append(BlockImage(tuple(pairs[start:]), current_bytes))
 
-        encoded = [encode_block(b) for b in blocks]
-        total = sum(len(e) for e in encoded)
+        total = sum(image.nbytes for image in images)
         base = disk.allocate(total)
         offsets: list[int] = []
         first_keys: list[bytes] = []
         cursor = base
         cpu_ns = 0.0
-        for block, blob in zip(blocks, encoded, strict=True):
-            disk.write(cursor, blob)
+        for image in images:
+            disk.write(cursor, image)
             offsets.append(cursor)
-            first_keys.append(block[0][0])
-            cursor += len(blob)
-            cpu_ns += costs.copy_cost(len(blob))
+            first_keys.append(image.entries[0][0])
+            cursor += image.nbytes
+            cpu_ns += costs.copy_cost(image.nbytes)
         if clock is not None:
             if background:
                 clock.charge_background(cpu_ns)
@@ -166,19 +154,16 @@ class SSTable:
         return max(i, 0)
 
     @charges("disk_read?")
-    def _load_block(
-        self, index: int, block_cache: PolicyCache | None
-    ) -> list[tuple[bytes, bytes]]:
+    def _load_block(self, index: int, block_cache: PolicyCache | None) -> tuple[Entry, ...]:
         cache_key = (self.table_id, index)
         if block_cache is not None:
             cached = block_cache.get(cache_key)
             if cached is not None:
                 return cached
-        blob = self._disk.read(self._block_offsets[index])
-        entries = decode_block(blob)
+        image: BlockImage = self._disk.read(self._block_offsets[index])
         if block_cache is not None:
-            block_cache.put(cache_key, entries, len(blob))
-        return entries
+            block_cache.put(cache_key, image.entries, image.nbytes)
+        return image.entries
 
     @charges("cpu_charge*", "disk_read?")
     def get(

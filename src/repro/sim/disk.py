@@ -1,8 +1,10 @@
 """Simulated block device with a sequential/random latency model.
 
-The device stores real bytes (so on-disk structures round-trip their data)
-and charges simulated time per request.  The latency model is the one that
-matters for the paper's conclusions:
+A blob is an immutable object whose ``len()`` is its size on the device
+(B+ tree page bytes, SSTable block images).  The device keeps each blob
+as written, never looks inside it, and charges simulated time per
+request from that size.  The latency model is the one that matters for
+the paper's conclusions:
 
 * a request that starts exactly where the previous request of the same kind
   ended is *sequential* and pays transfer time only;
@@ -17,7 +19,9 @@ random 4 KB IOPS.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
+from typing import Any
 
 from repro.sim.effects import charges
 from repro.sim.stats import StatCounters
@@ -54,7 +58,7 @@ class SimDisk:
         self.spec = spec or DiskSpec()
         self.stats = StatCounters()
         self.busy_ns = 0.0
-        self._blobs: dict[int, bytes] = {}
+        self._blobs: dict[int, Sized] = {}
         self._next_offset = 0
         self._last_read_end = -1
         self._last_write_end = -1
@@ -88,28 +92,35 @@ class SimDisk:
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
-    def write(self, offset: int, data: bytes) -> float:
-        """Store ``data`` at ``offset`` and return the simulated latency."""
+    def write(self, offset: int, data: Sized) -> float:
+        """Store the blob ``data`` at ``offset``; return the simulated latency.
+
+        Blobs are kept, not copied, so mutable buffers are refused.
+        """
+        if isinstance(data, (bytearray, memoryview)):
+            raise TypeError(f"disk blobs must be immutable, got {type(data).__name__}")
+        nbytes = len(data)
         sequential = offset == self._last_write_end
-        latency = self._charge(len(data), sequential)
-        self._last_write_end = offset + len(data)
-        self._blobs[offset] = bytes(data)
+        latency = self._charge(nbytes, sequential)
+        self._last_write_end = offset + nbytes
+        self._blobs[offset] = data
         self.stats.bump("writes")
-        self.stats.bump("bytes_written", len(data))
+        self.stats.bump("bytes_written", nbytes)
         if sequential:
             self.stats.bump("seq_writes")
         else:
             self.stats.bump("rand_writes")
         return latency
 
-    def read(self, offset: int) -> bytes:
-        """Return the blob at ``offset``, charging simulated latency."""
+    def read(self, offset: int) -> Any:
+        """Return the blob stored at ``offset``, charging simulated latency."""
         blob = self._blobs[offset]
+        nbytes = len(blob)
         sequential = offset == self._last_read_end
-        self._charge(len(blob), sequential)
-        self._last_read_end = offset + len(blob)
+        self._charge(nbytes, sequential)
+        self._last_read_end = offset + nbytes
         self.stats.bump("reads")
-        self.stats.bump("bytes_read", len(blob))
+        self.stats.bump("bytes_read", nbytes)
         if sequential:
             self.stats.bump("seq_reads")
         else:

@@ -1,6 +1,7 @@
 """Unit tests for LSM building blocks: bloom filter, LRU cache, memtable, sstable."""
 
 import random
+from struct import Struct
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from repro.art import encode_int
 from repro.lsm import BloomFilter, LRUCache, MemTable, SSTable
 from repro.lsm.bloom import fnv1a
-from repro.lsm.sstable import decode_block, encode_block
+from repro.lsm.sstable import BlockImage
 from repro.sim import SimClock, SimDisk
 
 
@@ -150,17 +151,70 @@ def test_memtable_deterministic_across_instances():
 
 
 # ----------------------------------------------------------------------
-# block codec
+# block images
 # ----------------------------------------------------------------------
+#: the length-prefixed record format block sizes are measured in.
+_ENTRY_HEADER = Struct(">HI")
+
+
+def wire_size(entries):
+    """Bytes the entries take as key-length/value-length/key/value records."""
+    return len(b"".join(_ENTRY_HEADER.pack(len(k), len(v)) + k + v for k, v in entries))
+
+
+class RecordingDisk(SimDisk):
+    """A ``SimDisk`` that keeps every blob it is asked to write."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = []
+
+    def write(self, offset, data):
+        self.written.append(data)
+        return super().write(offset, data)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(
-        st.tuples(st.binary(min_size=1, max_size=40), st.binary(max_size=200)),
-        max_size=50,
-    )
+    st.dictionaries(
+        st.binary(min_size=1, max_size=40), st.binary(max_size=200), min_size=1, max_size=60
+    ),
+    st.sampled_from([64, 256, 4096]),
 )
-def test_block_codec_roundtrip(entries):
-    assert decode_block(encode_block(entries)) == entries
+def test_block_image_len_is_wire_size(mapping, block_size):
+    pairs = sorted(mapping.items())
+    disk = RecordingDisk()
+    SSTable.build(1, disk, pairs, block_size=block_size)
+    assert all(isinstance(image, BlockImage) for image in disk.written)
+    for image in disk.written:
+        assert len(image) == wire_size(image.entries)
+        assert len(image.entries) == 1 or len(image) <= block_size
+    assert [e for image in disk.written for e in image.entries] == pairs
+
+
+def test_block_images_sum_to_data_bytes():
+    disk = RecordingDisk()
+    pairs = [(ikey(i), b"v" * (i % 50)) for i in range(3000)]
+    table = SSTable.build(1, disk, pairs, block_size=1024)
+    assert len(disk.written) == table.block_count > 1
+    assert sum(len(image) for image in disk.written) == table.data_bytes == wire_size(pairs)
+    assert disk.stats["bytes_written"] == table.data_bytes == disk.used_bytes
+
+
+def test_sstable_is_isolated_from_callers_pairs():
+    disk = SimDisk()
+    pairs = [(ikey(i), b"v%d" % i) for i in range(500)]
+    expected = list(pairs)
+    table = SSTable.build(1, disk, pairs, block_size=512)
+    pairs[0] = (ikey(0), b"changed")
+    pairs[200:300] = []
+    pairs.append((ikey(10**6), b"late"))
+    pairs.reverse()
+    assert table.get(ikey(0)) == b"v0"
+    assert table.get(ikey(250)) == b"v250"
+    assert table.get(ikey(10**6)) is None
+    assert list(table.iter_from(ikey(100))) == expected[100:]
+    assert list(table.iter_all()) == expected
 
 
 # ----------------------------------------------------------------------

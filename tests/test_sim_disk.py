@@ -107,3 +107,25 @@ def test_snapshot_supports_delta_sampling(disk):
     disk.read(a)
     assert disk.busy_ns > busy
     assert disk.stats.delta(counts) == {"reads": 1, "bytes_read": 4096, "rand_reads": 1}
+
+
+@pytest.mark.parametrize("mutable", [bytearray(b"page"), memoryview(b"page")])
+def test_write_refuses_mutable_buffers(disk, mutable):
+    a = disk.allocate(4096)
+    with pytest.raises(TypeError):
+        disk.write(a, mutable)
+    assert not disk.contains(a)
+    assert disk.stats["writes"] == 0
+    assert disk.busy_ns == 0
+
+
+def test_read_returns_the_blob_as_written(disk):
+    class Image:
+        def __len__(self):
+            return 300
+
+    a = disk.allocate(4096)
+    image = Image()
+    disk.write(a, image)
+    assert disk.read(a) is image
+    assert disk.used_bytes == disk.stats["bytes_written"] == disk.stats["bytes_read"] == 300
