@@ -130,6 +130,14 @@ class InnerNode:
         """Yield ``(byte, child)`` in ascending byte order."""
         raise NotImplementedError
 
+    def children_after(self, byte: int) -> list["Child"]:
+        """The children whose byte is above ``byte``, in ascending byte order.
+
+        ``children_after(-1)`` lists every child in key order; a range
+        seek takes the siblings to the right of the byte it descends on.
+        """
+        raise NotImplementedError
+
     @property
     def num_children(self) -> int:
         raise NotImplementedError
@@ -228,6 +236,9 @@ class _SortedArrayNode(InnerNode):
 
     def children_items(self) -> Iterator[tuple[int, Child]]:
         yield from zip(self._bytes, self._children, strict=True)
+
+    def children_after(self, byte: int) -> list[Child]:
+        return self._children[bisect_right(self._bytes, byte) :]
 
     def children_values(self) -> list[Child]:
         return self._children
@@ -361,6 +372,14 @@ class Node48(InnerNode):
                 assert child is not None
                 yield byte, child
 
+    def children_after(self, byte: int) -> list[Child]:
+        children = self._children
+        return [
+            child
+            for slot in self._index[byte + 1 :]
+            if slot >= 0 and (child := children[slot]) is not None
+        ]
+
     def children_values(self) -> list[Child]:
         # Slot order, not key order: only for order-insensitive walks.
         return [c for c in self._children if c is not None]
@@ -428,6 +447,9 @@ class Node256(InnerNode):
             child = self._children[byte]
             if child is not None:
                 yield byte, child
+
+    def children_after(self, byte: int) -> list[Child]:
+        return [c for c in self._children[byte + 1 :] if c is not None]
 
     def children_values(self) -> list[Child]:
         return [c for c in self._children if c is not None]

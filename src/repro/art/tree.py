@@ -618,19 +618,61 @@ class AdaptiveRadixTree:
     # ------------------------------------------------------------------
     def items(self, start: bytes | None = None) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(key, value)`` in ascending key order, from ``start``."""
-        yield from ((leaf.key, leaf.value) for leaf in self.iter_leaves(self._root, start))
+        # b"" sorts below every key, so seeking from it walks the whole tree.
+        return ((leaf.key, leaf.value) for leaf in self._seek(start or b""))
 
-    def iter_leaves(self, node: Child, start: bytes | None = None) -> Iterator[Leaf]:
-        """Yield leaves under ``node`` in key order, skipping keys < start."""
-        stack: list[Child] = [node]
+    def iter_leaves(self, node: Child) -> Iterator[Leaf]:
+        """Yield every leaf under ``node`` in key order."""
+        return self._walk([node])
+
+    @staticmethod
+    def _walk(stack: list[Child]) -> Iterator[Leaf]:
+        """Yield the leaves of the subtrees on ``stack``, last pushed first."""
+        pop = stack.pop
+        push = stack.extend
         while stack:
-            current = stack.pop()
+            current = pop()
             if isinstance(current, Leaf):
-                if start is None or current.key >= start:
-                    yield current
-                continue
-            children = [child for __, child in current.children_items()]
-            stack.extend(reversed(children))
+                yield current
+            else:
+                push(reversed(current.children_after(-1)))
+
+    def _seek(self, start: bytes) -> Iterator[Leaf]:
+        """Yield the leaves with key >= ``start`` in key order.
+
+        Descends along ``start`` once, O(depth): at each inner node the
+        siblings to the right of the descent byte are queued whole (every
+        key under them sorts above ``start``), the ones to the left are
+        skipped, and a compressed prefix that diverges from ``start``
+        either takes or skips the whole subtree.  The queue is then walked
+        deepest-first, which is key order.
+        """
+        pending: list[Child] = []
+        node: Child = self._root
+        depth = 0
+        while isinstance(node, InnerNode):
+            prefix = node.prefix
+            if prefix:
+                part = start[depth : depth + len(prefix)]
+                if part != prefix:
+                    if part < prefix:
+                        pending.append(node)
+                    break
+                depth += len(prefix)
+            if depth >= len(start):
+                # ``start`` is a prefix of every key below.
+                pending.append(node)
+                break
+            byte = start[depth]
+            pending.extend(reversed(node.children_after(byte)))
+            child = node.child(byte)
+            if child is None:
+                break
+            node = child
+            depth += 1
+        if isinstance(node, Leaf) and node.key >= start:
+            pending.append(node)
+        return self._walk(pending)
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
         """Return up to ``count`` pairs with key >= ``start`` in order."""

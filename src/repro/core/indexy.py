@@ -183,11 +183,11 @@ class IndeXY:
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
         """Merged range scan; X shadows Y on duplicate keys."""
+        self.stats.bump("scans")
         from_x = self.x.scan(start, count)
         if not self._y_populated:
             return from_x[:count]
         from_y = self.y.scan(start, count)
-        self.stats.bump("scans")
         out: list[tuple[bytes, bytes]] = []
         i = j = 0
         while len(out) < count and (i < len(from_x) or j < len(from_y)):

@@ -21,6 +21,7 @@ import heapq
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from repro.lsm.cache import PolicyCache
@@ -248,18 +249,12 @@ class LSMStore:
         The k-way merge then runs purely in memory over the sorted runs.
         """
         runs = [list(t.iter_all()) for t in list(reversed(older)) + list(reversed(newer))]
-
-        def tag(run: list[tuple[bytes, bytes]], seq: int) -> Iterator[tuple[bytes, int, bytes]]:
-            # A function (not a nested genexp) so ``seq`` is bound per run.
-            return ((k, seq, v) for k, v in run)
-
-        # Ties sort by run sequence (oldest run first), so the last entry
-        # seen for a key is the newest — it overwrites in place.
+        # The keyed merge is stable: equal keys come out in run order
+        # (oldest run first), so the last entry seen for a key is the
+        # newest — it overwrites in place.
         items: list[tuple[bytes, bytes]] = []
         last_key: bytes | None = None
-        for key, __, value in heapq.merge(
-            *(tag(run, seq) for seq, run in enumerate(runs))
-        ):
+        for key, value in heapq.merge(*runs, key=itemgetter(0)):
             if key == last_key:
                 items[-1] = (key, value)
             else:
@@ -355,21 +350,13 @@ class LSMStore:
                 if table.max_key >= start:
                     sources.append(table.iter_from(start, self.block_cache))
 
-        def tag(
-            src: Iterator[tuple[bytes, bytes]], seq: int
-        ) -> Iterator[tuple[bytes, int, bytes]]:
-            # A function (not a nested genexp) so ``seq`` is bound per
-            # source: a genexp here resolves ``seq`` late in the outer
-            # genexp's exhausted frame, so every lane tags with the final
-            # seq and key ties break on value *bytes* instead of recency —
-            # a stale TOMBSTONE (leading ``\\x00``) then shadows the
-            # memtable's fresh value and the scan silently drops the key.
-            return ((key, seq, value) for key, value in src)
-
-        merged = heapq.merge(*(tag(src, seq) for seq, src in enumerate(sources)))
+        # The keyed merge is stable: equal keys come out in source order,
+        # so the first entry seen for a key is the newest and the rest are
+        # shadowed.  Breaking ties on the value bytes instead would let a
+        # stale TOMBSTONE (leading ``\\x00``) hide a fresh value.
         out: list[tuple[bytes, bytes]] = []
         last_key: Optional[bytes] = None
-        for key, __, value in merged:
+        for key, value in heapq.merge(*sources, key=itemgetter(0)):
             if key == last_key:
                 continue
             last_key = key

@@ -1,11 +1,14 @@
 """Unit and property tests for the adaptive radix tree."""
 
+import random
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.art import AdaptiveRadixTree, encode_int
-from repro.art.nodes import InnerNode
+from repro.art.nodes import InnerNode, Leaf, Node4, Node16, Node48, Node256
 from repro.sim import CostModel, SimClock
 
 
@@ -414,3 +417,132 @@ def test_scan_matches_sorted_reference(keys):
     start = ordered[len(ordered) // 2]
     expect = [k for k in ordered if k >= start][:10]
     assert [k for k, __ in tree.scan(start, 10)] == expect
+
+
+# ----------------------------------------------------------------------
+# range seeks: items(start) / scan descend along start
+# ----------------------------------------------------------------------
+#: width of the fixed-width keys the seek tests store; start keys range
+#: from empty to 10 bytes, so they are both shorter and longer than it.
+WIDTH = 4
+
+#: clustered keys: up to four groups sharing their first three bytes, so
+#: the last-byte nodes grow through Node16 and Node48 to Node256.
+clustered_keys = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 255)).map(
+        lambda t: bytes((7, t[0], t[1], t[2]))
+    ),
+    max_size=400,
+)
+
+#: sparse keys over a small alphabet: long shared paths that diverge at
+#: every depth, so inserts split compressed prefixes.
+sparse_keys = st.lists(
+    st.binary(min_size=WIDTH, max_size=WIDTH).map(lambda b: bytes(c % 3 * 120 for c in b)),
+    max_size=60,
+)
+
+
+def start_keys(ordered: list[bytes]) -> st.SearchStrategy[bytes]:
+    """Seek starts: present, absent, out of range, shorter and longer."""
+    anywhere = st.binary(max_size=10)
+    absent = st.binary(min_size=WIDTH, max_size=WIDTH)
+    if not ordered:
+        return st.one_of(anywhere, absent)
+    low, high = ordered[0], ordered[-1]
+    below = low[:-1] + bytes((low[-1] - 1,)) if low[-1] else low[:-1]
+    present = st.sampled_from(ordered)
+    return st.one_of(
+        anywhere,
+        absent,
+        present,
+        st.sampled_from([below, b"", high + b"\x00", b"\xff" * 10]),
+        st.tuples(present, st.integers(0, WIDTH - 1)).map(lambda t: t[0][: t[1]]),
+        st.tuples(present, st.binary(min_size=1, max_size=10 - WIDTH)).map(
+            lambda t: t[0] + t[1]
+        ),
+    )
+
+
+def assert_seeks_match(tree, model: dict[bytes, bytes], start: bytes, count: int) -> None:
+    ordered = sorted(model)
+    expect = [(k, model[k]) for k in ordered[bisect_left(ordered, start) :]]
+    assert list(tree.items(start)) == expect
+    assert tree.scan(start, count) == expect[:count]
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.one_of(clustered_keys, sparse_keys), data=st.data())
+def test_seek_matches_sorted_reference(keys, data):
+    tree = AdaptiveRadixTree()
+    model: dict[bytes, bytes] = {}
+    for key in keys:
+        tree.insert(key, b"v" + key)
+        model[key] = b"v" + key
+
+    def check() -> None:
+        starts = data.draw(st.lists(start_keys(sorted(model)), min_size=1, max_size=8))
+        for start in starts:
+            assert_seeks_match(tree, model, start, data.draw(st.integers(1, 20)))
+        assert list(tree.items()) == sorted(model.items())
+
+    check()
+    if model:
+        for key in data.draw(st.sets(st.sampled_from(sorted(model)))):
+            assert tree.delete(key)
+            del model[key]
+    check()
+
+
+def layouts(node) -> set[type]:
+    found = {type(node)}
+    for __, child in node.children_items():
+        if isinstance(child, InnerNode):
+            found |= layouts(child)
+    return found
+
+
+def test_seek_covers_every_layout_and_shrink():
+    """Exhaustive seeks over a tree that holds all four layouts."""
+    rng = random.Random(13)
+    tree = AdaptiveRadixTree()
+    model: dict[bytes, bytes] = {}
+    # One key group per layout (by fan-out), then sparse keys for
+    # compressed prefixes split at several depths.
+    for head, fanout in ((1, 200), (2, 30), (3, 10), (4, 3)):
+        for low in rng.sample(range(256), fanout):
+            model[bytes((9, head, 0, low))] = b"c%d" % low
+    for __ in range(40):
+        model[bytes(rng.choice((0, 5, 250)) for __ in range(WIDTH))] = b"s"
+    for key, value in model.items():
+        tree.insert(key, value)
+    assert layouts(tree.root) >= {Node4, Node16, Node48, Node256}
+
+    def check() -> None:
+        ordered = sorted(model)
+        starts = {b"", b"\xff" * 10}
+        for key in ordered:
+            starts.update(key[:cut] for cut in range(WIDTH))
+            starts.update((key + b"\x00", key + b"\xff\xff", key[:-1] + bytes((key[-1] ^ 1,))))
+        for start in sorted(starts):
+            assert_seeks_match(tree, model, start, 7)
+
+    check()
+    # Deleting most of each group shrinks Node256 -> Node48 -> Node16.
+    for key in [k for k in model if k[1] in (1, 2) and k[3] % 8]:
+        assert tree.delete(key)
+        del model[key]
+    check()
+
+
+@pytest.mark.parametrize(
+    ("layout", "fanout"), [(Node4, 3), (Node16, 11), (Node48, 40), (Node256, 170)]
+)
+def test_children_after_matches_children_items(layout, fanout):
+    node = layout()
+    for byte in random.Random(fanout).sample(range(256), fanout):
+        node.set_child(byte, Leaf(bytes((byte,)), b"v"))
+    for byte in range(-1, 256):
+        assert node.children_after(byte) == [
+            c for b, c in node.children_items() if b > byte
+        ]

@@ -6,7 +6,10 @@ and must land on exactly the pinned simulated totals: foreground CPU,
 background CPU, disk busy time, bytes read and written, and the bytes
 left on the device.  The trace runs the LSM systems with a small write
 buffer, block size and block cache, so it covers flushes, a compaction,
-block-cache misses and releases.
+block-cache misses and releases.  One more case replays the trace on a
+rebalancing ``Sharded`` fleet with its load skewed onto one shard, so a
+range migration runs: it pins the drain's source scans and the scans
+that merge across the in-flight range.
 
 The totals are plain float sums, so any change to what a code path
 charges, or to how many bytes a structure puts on the disk, moves at
@@ -22,6 +25,7 @@ from typing import Any
 import pytest
 
 from repro.lsm.store import LSMConfig
+from repro.shard.router import ShardRouter
 from repro.systems import KVSystem, build_system
 
 MEMORY_LIMIT = 8 * 1024
@@ -69,11 +73,29 @@ CASES: dict[str, tuple[dict[str, Any], list[tuple[float, float, float, int, int,
 }
 
 
-def run_trace(system: KVSystem) -> None:
+#: the migration case: two weighted-range ART-LSM shards whose load sits
+#: in the bottom quarter of the key space, with a rebalancer paced tightly
+#: enough that a range migration starts, drains in small chunks while
+#: scans run across it, and completes within the trace.
+MIGRATION_SPEC = "Sharded@rebalance=interval:16+chunk:2+drain:4+min_load:4"
+MIGRATION_KWARGS: dict[str, Any] = dict(
+    base_system="ART-LSM",
+    shards=2,
+    lsm_config=_SMALL_LSM,
+    partitioner="weighted",
+    key_space=KEY_RANGE,
+)
+MIGRATION_EXPECTED = [
+    (42720.0, 654.2500000000001, 1178942.0, 6812, 6013, 2034),
+    (45408.0, 566.8, 2630828.0, 16640, 5896, 2133),
+]
+
+
+def run_trace(system: KVSystem, key_range: int = KEY_RANGE) -> None:
     rng = random.Random(SEED)
     for i in range(TRACE_OPS):
         r = rng.random()
-        key = rng.randrange(KEY_RANGE)
+        key = rng.randrange(key_range)
         if r < 0.5:
             system.insert(key, bytes([65 + i % 26]) * rng.randrange(16, 64))
         elif r < 0.8:
@@ -115,3 +137,26 @@ def test_charge_fingerprint(name):
             store = getattr(engine, "store", None) or engine.index.y
             assert store.stats["flushes"] >= 1
             assert store.stats["compactions"] >= 1
+
+
+def test_charge_fingerprint_migration(monkeypatch):
+    """Pins the migration drain's ``src.scan`` and the migrating scan merge."""
+    migrating_scans = []
+    scan_migrating = ShardRouter._scan_migrating
+
+    def counting(self, *args):
+        migrating_scans.append(args)
+        return scan_migrating(self, *args)
+
+    monkeypatch.setattr(ShardRouter, "_scan_migrating", counting)
+    system = build_system(MIGRATION_SPEC, memory_limit_bytes=MEMORY_LIMIT, **MIGRATION_KWARGS)
+    run_trace(system, key_range=KEY_RANGE // 4)
+    assert [fingerprint(e) for e in engines(system)] == MIGRATION_EXPECTED
+    rebalancer = system.rebalancer
+    assert rebalancer.migrations_started >= 1
+    assert rebalancer.migrations_completed >= 1
+    assert rebalancer.keys_moved > 0
+    assert migrating_scans
+    for engine in engines(system):
+        assert engine.index.y.stats["flushes"] >= 1
+        assert engine.index.y.stats["compactions"] >= 1

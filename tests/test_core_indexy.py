@@ -161,6 +161,18 @@ def test_scan_prefers_x_version():
     assert got[ikey(victim)] == b"newest!"
 
 
+def test_scan_counter_counts_every_scan():
+    """Scans count before Y holds data as well as after."""
+    index, __, ___ = make_art_lsm(limit_bytes=128 * 1024)
+    index.scan(ikey(0), 5)  # empty system
+    fill(index, 100)
+    index.scan(ikey(0), 5)  # X only: Y not yet populated
+    assert index.stats["scans"] == 2
+    fill(index, 8000, seed=4)
+    index.scan(ikey(0), 5)  # X and Y
+    assert index.stats["scans"] == 3
+
+
 def test_flush_persists_dirty_data():
     index, __, disk = make_art_lsm(limit_bytes=10 << 20)
     fill(index, 500)

@@ -1,5 +1,6 @@
 """Unit and property tests for the leveled LSM store."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.art import encode_int
 from repro.lsm import LSMConfig, LSMStore
+from repro.lsm.sstable import SSTable
+from repro.lsm.store import TOMBSTONE
 from repro.sim import SimClock, SimDisk
 
 
@@ -131,12 +134,13 @@ def test_scan_respects_overwrites(store):
 def test_scan_newest_version_wins_over_flushed_tombstone(store):
     """Regression: a delete-then-reinsert across a flush boundary must scan.
 
-    The merge tags each source with a sequence number (lower = newer).  A
-    late-binding bug in the tagging genexp once gave every source the same
-    final seq, so key ties broke on value bytes — and TOMBSTONE's leading
-    ``\\x00`` made a stale flushed tombstone shadow the memtable's fresh
-    value, silently dropping the key from scans (while ``get`` stayed
-    correct).
+    The scan merge must break key ties by source recency (memtable
+    first).  A late-binding bug in the old per-source tagging once broke
+    them on value bytes instead — and TOMBSTONE's leading ``\\x00`` made a
+    stale flushed tombstone shadow the memtable's fresh value, silently
+    dropping the key from scans (while ``get`` stayed correct).  The keyed
+    merge gets the tie-break from its stable source order; this test
+    guards it.
     """
     store.put(ikey(1), b"first")
     store.delete(ikey(1))  # tombstone, flushed to L0 below
@@ -145,6 +149,35 @@ def test_scan_newest_version_wins_over_flushed_tombstone(store):
     assert store.get(ikey(1)) == b"fresh"
     got = dict(store.scan(ikey(0), 10))
     assert got.get(ikey(1)) == b"fresh"
+
+
+@pytest.mark.parametrize(
+    "versions", list(itertools.permutations([b"\x00stale", TOMBSTONE, b"fresh", b"\xffold"]))
+)
+def test_compaction_merge_keeps_newest_of_many_runs(store, versions):
+    """One key in four runs: the newest version survives the merge.
+
+    ``versions`` lists the key's values oldest run first.  ``\\x00stale``
+    sorts below TOMBSTONE, so a merge that broke key ties on value bytes
+    would pick the wrong version for some order.
+    """
+    key = ikey(50)
+
+    def table(table_id: int, value: bytes) -> SSTable:
+        pairs = sorted({ikey(table_id): b"n", key: value, ikey(100 + table_id): b"n"}.items())
+        return SSTable.build(table_id, store.disk, pairs, block_size=64, clock=store.clock)
+
+    older = [table(1, versions[0])]  # the level below
+    newer = [table(t, versions[t - 1]) for t in (4, 3, 2)]  # level 0: newest first
+    for drop in (False, True):
+        merged = store._merge_tables(newer, older, drop_tombstones=drop)
+        keys = [k for k, __ in merged]
+        assert keys == sorted(set(keys))
+        if drop and versions[-1] == TOMBSTONE:
+            assert key not in keys
+        else:
+            assert dict(merged)[key] == versions[-1]
+        assert len(keys) == 8 + (key in keys)
 
 
 def test_scan_skips_tombstones(store):
