@@ -346,9 +346,9 @@ def _bench_serve_sharded(n: int) -> tuple[int, float, dict]:
 
 
 def _bench_check_deep(n: int) -> tuple[int, float]:
-    """The full static-analysis stack (shallow + RL1xx/2xx/3xx) over src/repro.
+    """The full static-analysis stack (shallow + RL1xx/3xx) over src/repro.
 
-    Times what the CI lint-check gate pays: all four rule layers over
+    Times what the CI lint-check gate pays: all three rule layers over
     the shipped tree, ``n`` passes end to end.  Reported ops are files
     analyzed, so per-op is the per-file cost of the whole stack.  A
     non-empty finding list fails the run — the perf trend is only
@@ -356,7 +356,6 @@ def _bench_check_deep(n: int) -> tuple[int, float]:
     """
     from repro.check.chargecheck import charge_lint_paths
     from repro.check.deepcheck import deep_lint_paths
-    from repro.check.racecheck import race_lint_paths
     from repro.check.reprolint import lint_paths
 
     src = Path(__file__).resolve().parents[1]
@@ -367,7 +366,6 @@ def _bench_check_deep(n: int) -> tuple[int, float]:
         findings = [
             *lint_paths([src]),
             *deep_lint_paths([src]),
-            *race_lint_paths([src]),
             *charge_lint_paths([src]),
         ]
     wall = perf_counter() - t0

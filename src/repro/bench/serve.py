@@ -23,7 +23,7 @@ shards serve N requests concurrently; the makespan is bounded by the
 busiest shard.  That is the mechanism behind the shard-count scaling
 table in EXPERIMENTS.md — and it is fully deterministic: the event
 loop pops (ready_time, client_id) pairs from a heap, so results are
-byte-stable across runs, worker counts, and platforms.
+byte-stable across runs and platforms.
 
 ``--skew`` switches to the hot-range scenario (DESIGN.md §11): plain
 (unscrambled) Zipf ranks map onto *sorted* key positions, so the popular
@@ -95,7 +95,6 @@ def run_serve(
     get_fraction: float = 0.95,
     theta: float = 0.7,
     seed: int = 7,
-    workers: int = 0,
     partitioner: str = "hash",
     memory_bytes: int | None = None,
 ) -> dict[str, Any]:
@@ -118,7 +117,6 @@ def run_serve(
         base_system=system,
         shards=shards,
         partitioner=partitioner,
-        workers=workers,
     )
 
     wall0 = perf_counter()
@@ -284,7 +282,7 @@ def run_serve_skew(
     Gets draw plain Zipf ranks mapped onto *sorted* key positions, so
     the popular keys are spatially clustered and a contiguous range
     partition concentrates the load on one shard.  ``rebalance`` is a
-    :meth:`RebalanceConfig.from_spec` spec (``None`` disables — the
+    :class:`RebalanceConfig` spec (``None`` disables — the
     before side of the comparison).  Both sides use the weighted range
     partitioner, so placement is identical until a boundary moves.
 
@@ -317,7 +315,7 @@ def run_serve_skew(
     draining any still-active migration, verifies ``get_many`` against
     the model and ``scan`` against a never-rebalanced replay router.
 
-    ``budget`` is a :meth:`BudgetConfig.from_spec` spec enabling the
+    ``budget`` is a :class:`BudgetConfig` spec enabling the
     heat-proportional budget layer (DESIGN.md §11.4).  Like draining,
     the re-split task is driven by the harness rather than the op-paced
     scheduler, every ``interval`` ops, with the resize work (release
@@ -765,7 +763,6 @@ def main(argv: list[str] | None = None) -> int:
         help="Zipfian skew (default 0.7; 0.99 with --skew)",
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=0, help="batch-dispatch threads")
     parser.add_argument("--partitioner", choices=("hash", "range", "weighted"), default="hash")
     parser.add_argument("--memory-bytes", type=int, default=None, help="total budget")
     parser.add_argument("--sweep", default=None, help="comma-separated shard counts")
@@ -855,7 +852,6 @@ def main(argv: list[str] | None = None) -> int:
             get_fraction=args.get_fraction,
             theta=theta,
             seed=args.seed,
-            workers=args.workers,
             partitioner=args.partitioner,
             memory_bytes=args.memory_bytes,
         )

@@ -3,8 +3,7 @@
 Runs the reprolint AST rules over the given files/directories (default:
 the installed ``repro`` package source) and exits non-zero when any
 finding survives the inline pragmas.  ``--deep`` adds the RL1xx
-CFG/dataflow/call-graph rules (see :mod:`repro.check.deepcheck`), the
-RL2xx concurrency rules (see :mod:`repro.check.racecheck`), and the
+CFG/dataflow/call-graph rules (see :mod:`repro.check.deepcheck`) and the
 RL3xx charge-effect rules (see :mod:`repro.check.chargecheck`);
 ``--rules RL30x,RL101`` restricts the run to a rule subset (a trailing
 ``x`` is a prefix wildcard); ``--unused-pragmas`` audits ``allow[...]``
@@ -27,23 +26,21 @@ from typing import Optional, Sequence
 
 from repro.check.chargecheck import CHARGE_RULES, charge_lint_paths
 from repro.check.deepcheck import DEEP_RULES, deep_lint_paths
-from repro.check.racecheck import RACE_RULES, race_lint_paths
 from repro.check.reprolint import RULES, Finding, Rule, iter_pragmas, lint_paths
 
 #: SARIF 2.1.0 is the smallest schema GitHub code scanning ingests.
 _SARIF_SCHEMA = "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
 
 #: rule family names keyed by id prefix, embedded in SARIF rule metadata
-#: so code-scanning UIs can group the four layers.
+#: so code-scanning UIs can group the three layers.
 _FAMILIES = (
     ("RL3", "charge"),
-    ("RL2", "concurrency"),
     ("RL1", "deep"),
     ("RL0", "shallow"),
 )
 
-#: every rule across the four layers, in catalogue order.
-ALL_RULES: tuple[Rule, ...] = (*RULES, *DEEP_RULES, *RACE_RULES, *CHARGE_RULES)
+#: every rule across the three layers, in catalogue order.
+ALL_RULES: tuple[Rule, ...] = (*RULES, *DEEP_RULES, *CHARGE_RULES)
 
 
 def _default_target() -> Path:
@@ -164,13 +161,12 @@ def _as_sarif(findings: list[Finding]) -> str:
 def _unused_pragmas(targets: list[Path]) -> list[str]:
     """Pragma lines whose ``allow[...]`` suppresses no raw finding.
 
-    Runs all four rule layers with suppression off, then reports every
+    Runs all three rule layers with suppression off, then reports every
     pragma line where none of the allowed rule ids (nor ``*`` matching
     anything) actually fires.
     """
     raw = lint_paths(targets, apply_pragmas=False)
     raw += deep_lint_paths(targets, apply_pragmas=False)
-    raw += race_lint_paths(targets, apply_pragmas=False)
     raw += charge_lint_paths(targets, apply_pragmas=False)
     fired: dict[tuple[str, int], set[str]] = {}
     for finding in raw:
@@ -220,8 +216,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--deep",
         action="store_true",
-        help="also run the RL1xx CFG/dataflow/call-graph rules, the RL2xx "
-        "concurrency-safety rules, and the RL3xx charge-effect rules",
+        help="also run the RL1xx CFG/dataflow/call-graph rules and the RL3xx "
+        "charge-effect rules",
     )
     parser.add_argument(
         "--rules",
@@ -309,8 +305,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if deep:
         if wants(DEEP_RULES):
             findings += deep_lint_paths(targets, rules=selected)
-        if wants(RACE_RULES):
-            findings += race_lint_paths(targets, rules=selected)
         if wants(CHARGE_RULES):
             findings += charge_lint_paths(targets, rules=selected)
     elapsed = time.monotonic() - started

@@ -195,7 +195,7 @@ class _CallCollector(ast.NodeVisitor):
         for callee in self._resolve(node):
             self.sites.append(CallSite(self.info.key, callee, node))
         # ``partial(self.method, ...)`` wraps a call that some executor
-        # (BackgroundScheduler runner, ShardWorkerPool thunk) performs
+        # (a BackgroundScheduler runner) performs
         # later; a may-call edge at the wrap site keeps that method
         # reachable (RL101) even though no direct call expression exists.
         wrapped = _partial_target(node)

@@ -35,8 +35,7 @@ RL304    exception-path charge skew: a ``raise`` edge between a
 =======  ==============================================================
 
 RL305 is the runtime half: :class:`~repro.check.chargeaudit.ChargeAuditor`
-replays sampled verbs against the summaries computed here (the same
-static/dynamic pairing as RL201–204 and the ``OwnershipSanitizer``).
+replays sampled verbs against the summaries computed here.
 
 Resolution model (known imprecision — see DESIGN.md §12)
 --------------------------------------------------------

@@ -34,15 +34,6 @@ RL007    hot-path-overhead: inside the hot packages (``art/``, ``lsm/``,
          local before the loop.  These patterns are semantically fine but
          cost real wall-clock time per call on the simulator's hottest
          paths (PR 3's profiles showed them dominating).
-RL008    router-dispatch-shared-state: inside ``shard/`` modules, no
-         lock acquisition (``.acquire()``/``.release()``, ``with`` on
-         router state) and no writes to ``self``-rooted state inside a
-         loop.  The router's dispatch contract is lock-free: batches are
-         partitioned once and dispatched once; per-operation loop bodies
-         touch only function locals and the owning shard (bound to a
-         local before the loop).  A router-side lock or shared counter
-         on the data path would serialize exactly the concurrency the
-         sharded layer exists to provide.
 RL009    policy-determinism: inside ``cache/`` modules, no ``time`` /
          ``random`` / ``os`` imports and no iteration over bare ``set``
          values (set literals, set comprehensions, ``set()`` /
@@ -151,12 +142,6 @@ RULES: tuple[Rule, ...] = (
         scope="hot modules (art/ lsm/ sim/ diskbtree/)",
     ),
     Rule(
-        "RL008",
-        "router-dispatch-shared-state",
-        "no lock acquisition or shared-mutable-state writes in shard dispatch loops",
-        scope="shard/ dispatch loops",
-    ),
-    Rule(
         "RL009",
         "policy-determinism",
         "cache-policy modules: no time/random/os imports, no bare-set iteration",
@@ -214,25 +199,6 @@ _HOT_PREFIXES = ("art/", "lsm/", "sim/", "diskbtree/")
 #: hook-call sequence (RL009).
 _POLICY_BANNED_IMPORTS = frozenset({"time", "random", "os"})
 
-#: method names whose in-loop invocation on ``self``-rooted state means
-#: the dispatch loop is mutating shared router state (RL008).
-_SHARD_MUTATORS = frozenset(
-    {
-        "add",
-        "append",
-        "appendleft",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popleft",
-        "remove",
-        "setdefault",
-        "update",
-    }
-)
-
 _PRAGMA_RE = re.compile(r"#\s*reprolint:\s*allow\[([^\]]*)\]")
 
 
@@ -265,7 +231,6 @@ class _Visitor(ast.NodeVisitor):
         self.rel = rel
         self.findings: list[tuple[int, int, str, str]] = []
         self._hot = _is_hot(rel)
-        self._shard = rel.startswith("shard/")
         self._policy = rel.startswith("cache/")
         self._func_depth = 0
         self._loop_depth = 0
@@ -283,13 +248,6 @@ class _Visitor(ast.NodeVisitor):
         if isinstance(func, ast.Attribute):
             return func.attr
         return None
-
-    @staticmethod
-    def _rooted_at_self(node: ast.expr) -> bool:
-        """True when an attribute/subscript chain bottoms out at ``self``."""
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return isinstance(node, ast.Name) and node.id == "self"
 
     @staticmethod
     def _dotted(node: ast.expr) -> str | None:
@@ -412,27 +370,6 @@ class _Visitor(ast.NodeVisitor):
                     "RL005",
                     "Random() without a seed is OS-seeded; pass an explicit seed",
                 )
-        if self._shard and self._loop_depth > 0:
-            if name in ("acquire", "release"):
-                self._add(
-                    node,
-                    "RL008",
-                    f"lock {name}() inside a shard dispatch loop; the router's "
-                    "data path is lock-free by contract (partition once, "
-                    "dispatch once)",
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and name in _SHARD_MUTATORS
-                and self._rooted_at_self(node.func.value)
-            ):
-                self._add(
-                    node,
-                    "RL008",
-                    f"{name}() mutates self-rooted state inside a shard "
-                    "dispatch loop; accumulate into function locals and "
-                    "publish once after the loop",
-                )
         if (
             self._hot
             and self._loop_depth > 0
@@ -472,54 +409,13 @@ class _Visitor(ast.NodeVisitor):
                 "writing busy_ns directly forges disk time; only SimDisk may charge it",
             )
 
-    def _check_shard_state_write(self, target: ast.expr) -> None:
-        if self._shard and self._loop_depth > 0 and self._rooted_at_self(target):
-            self._add(
-                target,
-                "RL008",
-                "write to self-rooted state inside a shard dispatch loop; "
-                "per-operation work may touch only function locals and the "
-                "owning shard",
-            )
-
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._check_busy_ns_write(target)
-            self._check_shard_state_write(target)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._check_busy_ns_write(node.target)
-        self._check_shard_state_write(node.target)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._check_shard_state_write(node.target)
-        self.generic_visit(node)
-
-    # -- RL008: per-operation lock scopes ------------------------------
-    def _check_with(self, node: ast.With | ast.AsyncWith) -> None:
-        if not (self._shard and self._loop_depth > 0):
-            return
-        for item in node.items:
-            expr = item.context_expr
-            held = expr.func if isinstance(expr, ast.Call) else expr
-            if self._rooted_at_self(held):
-                self._add(
-                    item.context_expr,
-                    "RL008",
-                    "context manager on self-rooted state inside a shard "
-                    "dispatch loop (a per-operation lock scope); the dispatch "
-                    "path takes no locks",
-                )
-
-    def visit_With(self, node: ast.With) -> None:
-        self._check_with(node)
-        self.generic_visit(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._check_with(node)
         self.generic_visit(node)
 
     # -- RL003 / RL004: imports ----------------------------------------
@@ -551,8 +447,7 @@ class _Visitor(ast.NodeVisitor):
                 node,
                 "RL003",
                 "import of 'concurrent': real thread pools are banned in "
-                "simulated code; the shard worker pool (shard/pool.py) is "
-                "the one pragma'd exception",
+                "simulated code",
             )
 
     def _check_local_import(self, node: ast.Import | ast.ImportFrom) -> None:
@@ -659,8 +554,8 @@ def filter_findings(
 ) -> list[Finding]:
     """Drop findings suppressed by a same-line ``allow[...]`` pragma.
 
-    One filter serves all three rule layers (shallow RL0xx, deep RL1xx,
-    race RL2xx) so the pragma grammar cannot drift between them.
+    One filter serves every rule layer (shallow RL0xx, deep RL1xx,
+    charge RL3xx) so the pragma grammar cannot drift between them.
     """
     kept: list[Finding] = []
     for finding in findings:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Any, ClassVar, Optional, Sequence, TypeVar, Union
+
+_K = TypeVar("_K", bound="KnobConfig")
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,52 @@ class CachePolicyConfig:
                 raise ValueError(f"layer {layer!r} named twice in spec {spec!r}")
             chosen[layer] = policy
         return cls(**chosen)
+
+
+class KnobConfig:
+    """Base of the ``name:value+...`` knob configs (``rebalance=``, ``budget=``).
+
+    A subclass is a frozen dataclass whose fields all have defaults.
+    ``SPEC_FIELDS`` maps each spec name onto a field, and the type of
+    that field's default casts the value.  ``SPEC_KIND`` names the knob
+    in errors.
+    """
+
+    SPEC_KIND: ClassVar[str]
+    SPEC_FIELDS: ClassVar[dict[str, str]]
+
+    @classmethod
+    def from_spec(cls: type[_K], spec: str) -> _K:
+        """Parse ``name:value`` pairs joined by ``+``.
+
+        ``"on"`` (or an empty spec) selects the defaults; e.g.
+        ``threshold:1.3+interval:128`` tunes individual knobs.
+        """
+        spec = spec.strip()
+        if spec in ("", "on", "default"):
+            return cls()
+        chosen: dict[str, Any] = {}
+        for part in spec.split("+"):
+            name, sep, raw = part.partition(":")
+            attr = cls.SPEC_FIELDS.get(name)
+            if not sep or attr is None:
+                raise ValueError(
+                    f"bad {cls.SPEC_KIND} spec part {part!r}; expected name:value with "
+                    f"name one of {', '.join(cls.SPEC_FIELDS)} (or the bare spec 'on')"
+                )
+            chosen[attr] = type(getattr(cls, attr))(raw)
+        return cls(**chosen)
+
+    @classmethod
+    def coerce(cls: type[_K], value: Union[_K, str, bool, None]) -> Optional[_K]:
+        """Normalise a router argument: ``None``/``False``/``"off"`` disable."""
+        if value is None or value is False:
+            return None
+        if value is True:
+            return cls()
+        if isinstance(value, str):
+            return None if value == "off" else cls.from_spec(value)
+        return value
 
 
 @dataclass(frozen=True)

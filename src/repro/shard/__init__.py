@@ -1,4 +1,4 @@
-"""Sharded concurrent serving layer.
+"""Sharded serving layer.
 
 Partitions the key space over N independent single-engine systems (each
 with its own :class:`~repro.sim.runtime.EngineRuntime`) behind a
@@ -10,12 +10,6 @@ concurrent-serving methodology.
 
 from repro.shard.budget import BudgetConfig, BudgetRebalancer
 from repro.shard.heat import ShardHeat
-from repro.shard.ownership import (
-    OwnershipViolation,
-    dispatch_armed,
-    distinct_ids,
-    shared_readonly,
-)
 from repro.shard.partition import (
     HashPartitioner,
     Partitioner,
@@ -23,7 +17,6 @@ from repro.shard.partition import (
     WeightedRangePartitioner,
     make_partitioner,
 )
-from repro.shard.pool import ShardWorkerPool
 from repro.shard.rebalance import RangeMigration, RebalanceConfig, Rebalancer
 from repro.shard.router import ShardRouter
 
@@ -31,7 +24,6 @@ __all__ = [
     "BudgetConfig",
     "BudgetRebalancer",
     "HashPartitioner",
-    "OwnershipViolation",
     "Partitioner",
     "RangeMigration",
     "RangePartitioner",
@@ -39,10 +31,6 @@ __all__ = [
     "Rebalancer",
     "ShardHeat",
     "ShardRouter",
-    "ShardWorkerPool",
     "WeightedRangePartitioner",
-    "dispatch_armed",
-    "distinct_ids",
     "make_partitioner",
-    "shared_readonly",
 ]

@@ -27,9 +27,9 @@ Two dampers keep budgets from thrashing:
   does not convert into resize churn (the same two-watermark argument
   as the paper's Section II-A, applied fleet-wide).
 
-Every input is deterministic (heat is foreground-only and op streams
-are seeded), so budget trajectories are byte-reproducible; with the
-feature off the task is never registered and no account changes.
+Every input is deterministic (op streams are seeded), so budget
+trajectories are byte-reproducible; with the feature off the task is
+never registered and no account changes.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.config import KnobConfig
 from repro.core.membudget import proportional_split
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,8 +47,11 @@ __all__ = ["BudgetConfig", "BudgetRebalancer"]
 
 
 @dataclass(frozen=True)
-class BudgetConfig:
+class BudgetConfig(KnobConfig):
     """Tuning knobs of the heat-proportional budget layer.
+
+    ``Sharded@budget=...`` specs use the :class:`KnobConfig` grammar,
+    e.g. ``floor:0.1+interval:256+hysteresis:0.05``.
 
     Attributes:
         interval_ops: pacing of the re-split task (one heat inspection
@@ -66,6 +70,14 @@ class BudgetConfig:
             startup keeps the equal split instead of chasing noise).
     """
 
+    SPEC_KIND = "budget"
+    SPEC_FIELDS = {
+        "interval": "interval_ops",
+        "floor": "floor_fraction",
+        "hysteresis": "hysteresis",
+        "min_load": "min_load",
+    }
+
     interval_ops: int = 512
     floor_fraction: float = 0.25
     hysteresis: float = 0.10
@@ -82,47 +94,6 @@ class BudgetConfig:
             raise ValueError(f"hysteresis must be >= 0, got {self.hysteresis}")
         if self.min_load < 0.0:
             raise ValueError(f"min_load must be >= 0, got {self.min_load}")
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "BudgetConfig":
-        """Parse ``name:value`` pairs joined by ``+``.
-
-        ``"on"`` (or an empty spec) selects the defaults; e.g.
-        ``floor:0.1+interval:256+hysteresis:0.05`` tunes individual
-        knobs.  This is the grammar behind ``Sharded@budget=...`` specs,
-        mirroring :meth:`RebalanceConfig.from_spec`.
-        """
-        spec = spec.strip()
-        if spec in ("", "on", "default"):
-            return cls()
-        fields = {
-            "interval": ("interval_ops", int),
-            "floor": ("floor_fraction", float),
-            "hysteresis": ("hysteresis", float),
-            "min_load": ("min_load", float),
-        }
-        chosen: dict[str, float | int] = {}
-        for part in spec.split("+"):
-            name, sep, raw = part.partition(":")
-            if not sep or name not in fields:
-                raise ValueError(
-                    f"bad budget spec part {part!r}; expected name:value with "
-                    f"name one of {', '.join(fields)} (or the bare spec 'on')"
-                )
-            attr, cast = fields[name]
-            chosen[attr] = cast(raw)
-        return cls(**chosen)  # type: ignore[arg-type]
-
-    @classmethod
-    def coerce(cls, value: "BudgetConfig | str | bool | None") -> "BudgetConfig | None":
-        """Normalise the router's ``budget=`` argument."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, str):
-            return None if value == "off" else cls.from_spec(value)
-        return value
 
 
 class BudgetRebalancer:

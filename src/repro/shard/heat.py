@@ -1,6 +1,6 @@
 """Per-shard heat accounting for the elastic resharding layer.
 
-:class:`ShardHeat` is the router's foreground-only load ledger: every
+:class:`ShardHeat` is the router's load ledger: every
 routed operation notes its shard (op count), and the serving harness
 additionally notes per-request simulated service time and queueing
 delay.  The :class:`~repro.shard.rebalance.Rebalancer` reads the ledger
@@ -8,9 +8,6 @@ to detect imbalance, pick the hot shard, and choose a split key; after
 each decision round it decays every counter so heat tracks the *recent*
 load, not the whole history (DESIGN.md §11).
 
-Concurrency contract: heat is mutated only on the router's foreground
-thread — never inside dispatched thunks — so it needs no locks and the
-RL2xx ownership rules treat it like any other foreground router state.
 Every input is deterministic (op streams are seeded), so heat, and with
 it every rebalancing decision, is byte-reproducible.
 

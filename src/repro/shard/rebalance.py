@@ -28,12 +28,11 @@ Migration protocol (ownership-transfer-first):
 3. **Finish**: when the source range is drained, clear the descriptor;
    routing needs no second swap because ownership moved up front.
 
-Every step runs on the router's foreground thread (scheduler ticks are
-issued by foreground ops), never inside dispatched thunks, so threaded
-dispatch stays byte-identical to serial and the RL2xx ownership rules
-hold.  Migration work charges the *shards'* simulated clocks — moving
-data competes with serving on the source and destination engines, which
-is exactly the cost the skewed-serving benchmark accounts for.
+Every step runs between router operations (scheduler ticks are issued
+by the router's own verbs).  Migration work charges the *shards'*
+simulated clocks — moving data competes with serving on the source and
+destination engines, which is exactly the cost the skewed-serving
+benchmark accounts for.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.art.keys import decode_int
+from repro.core.config import KnobConfig
 from repro.shard.partition import WeightedRangePartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,8 +51,11 @@ __all__ = ["RebalanceConfig", "RangeMigration", "Rebalancer"]
 
 
 @dataclass(frozen=True)
-class RebalanceConfig:
+class RebalanceConfig(KnobConfig):
     """Tuning knobs of the elastic resharding layer.
+
+    ``Sharded@rebalance=...`` specs use the :class:`KnobConfig` grammar,
+    e.g. ``threshold:1.3+interval:128+chunk:512``.
 
     Attributes:
         threshold: imbalance trigger — a migration starts when the
@@ -108,6 +111,22 @@ class RebalanceConfig:
     which measure well beyond it.
     """
 
+    SPEC_KIND = "rebalance"
+    SPEC_FIELDS = {
+        "threshold": "threshold",
+        "interval": "interval_ops",
+        "chunk": "chunk_keys",
+        "drain": "drain_interval_ops",
+        "decay": "decay",
+        "samples": "sample_size",
+        "min_load": "min_load",
+        "cooldown": "cooldown_rounds",
+        "max_shards": "max_shards",
+        "min_shards": "min_shards",
+        "split_load": "split_load",
+        "merge_load": "merge_load",
+    }
+
     threshold: float = 2.2
     interval_ops: int = 256
     chunk_keys: int = 64
@@ -142,54 +161,6 @@ class RebalanceConfig:
             raise ValueError(f"split_load must be >= 0, got {self.split_load}")
         if self.merge_load < 0.0:
             raise ValueError(f"merge_load must be >= 0, got {self.merge_load}")
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "RebalanceConfig":
-        """Parse ``name:value`` pairs joined by ``+``.
-
-        ``"on"`` (or an empty spec) selects the defaults; e.g.
-        ``threshold:1.3+interval:128+chunk:512`` tunes individual knobs.
-        This is the grammar behind ``Sharded@rebalance=...`` specs.
-        """
-        spec = spec.strip()
-        if spec in ("", "on", "default"):
-            return cls()
-        fields = {
-            "threshold": ("threshold", float),
-            "interval": ("interval_ops", int),
-            "chunk": ("chunk_keys", int),
-            "drain": ("drain_interval_ops", int),
-            "decay": ("decay", float),
-            "samples": ("sample_size", int),
-            "min_load": ("min_load", float),
-            "cooldown": ("cooldown_rounds", int),
-            "max_shards": ("max_shards", int),
-            "min_shards": ("min_shards", int),
-            "split_load": ("split_load", float),
-            "merge_load": ("merge_load", float),
-        }
-        chosen: dict[str, float | int] = {}
-        for part in spec.split("+"):
-            name, sep, raw = part.partition(":")
-            if not sep or name not in fields:
-                raise ValueError(
-                    f"bad rebalance spec part {part!r}; expected name:value with "
-                    f"name one of {', '.join(fields)} (or the bare spec 'on')"
-                )
-            attr, cast = fields[name]
-            chosen[attr] = cast(raw)
-        return cls(**chosen)  # type: ignore[arg-type]
-
-    @classmethod
-    def coerce(cls, value: "RebalanceConfig | str | bool | None") -> "RebalanceConfig | None":
-        """Normalise the router's ``rebalance=`` argument."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, str):
-            return None if value == "off" else cls.from_spec(value)
-        return value
 
 
 class RangeMigration:

@@ -8,9 +8,8 @@ system) and routes operations by partition:
 * ``insert``/``read``/``delete``/``scan`` go straight to the owning
   shard — no router-side locks, queues, or counters on the data path;
 * ``put_many``/``get_many``/``delete_many`` are split into per-shard
-  sub-batches in one pass, then dispatched once to a
-  :class:`~repro.shard.pool.ShardWorkerPool` (threads for wall-clock
-  benches, serial fallback for simulated runs);
+  sub-batches in one pass, then each non-empty sub-batch goes to its
+  shard's own batched verb, one shard after another;
 * ``scan`` results from the consulted shards are k-way merged with
   :func:`heapq.merge` (each key lives on exactly one shard, so the merge
   needs no duplicate resolution).
@@ -31,21 +30,20 @@ is in flight the data path is migration-aware: reads of the in-flight
 range double-read (destination first, then the source for keys not yet
 copied), deletes apply to both shards so the double-read cannot
 resurrect a deleted key, and scans merge the source's leftovers with
-destination priority.  All migration and heat mutation happens on the
-foreground thread — dispatched thunks still only read shared state.
+destination priority.  Migration and heat bookkeeping run between
+shard calls, never inside one.
 
-Dispatch-loop discipline (reprolint RL008): batches are partitioned
-once and dispatched once; loop bodies bind every shard handle to a
-local and write only to function-local accumulators, never to router
-attributes, and acquire no locks.
+Dispatch is serial: the paper's worker threads are modelled in
+simulated time by per-shard clocks and
+:class:`~repro.sim.threads.ThreadModel`, and real threads buy no
+wall-clock time under the GIL.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import merge as heapq_merge
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.art.keys import decode_int
 from repro.core.membudget import proportional_split
@@ -56,7 +54,6 @@ from repro.shard.partition import (
     WeightedRangePartitioner,
     make_partitioner,
 )
-from repro.shard.pool import ShardWorkerPool
 from repro.shard.rebalance import RangeMigration, RebalanceConfig, Rebalancer
 from repro.sim.costs import CostModel
 from repro.sim.effects import charges
@@ -65,16 +62,12 @@ from repro.systems.base import KVSystem, Snapshot
 
 __all__ = ["ShardRouter"]
 
-_T = TypeVar("_T")
-
 
 class ShardRouter(KVSystem):
     """Partitioned serving layer over ``shards`` independent engines.
 
     ``memory_limit_bytes`` is the *total* budget; each shard receives an
     equal slice, so shard counts are compared at constant total memory.
-    ``workers`` sizes the batch-dispatch thread pool (``0``/``1`` =
-    serial fallback; simulated results are identical either way).
     """
 
     name = "Sharded"
@@ -87,7 +80,6 @@ class ShardRouter(KVSystem):
         *,
         partitioner: str | Partitioner = "hash",
         key_space: int = 1 << 40,
-        workers: int = 0,
         page_size: int = 4096,
         costs: CostModel | None = None,
         thread_model: ThreadModel | None = None,
@@ -112,7 +104,6 @@ class ShardRouter(KVSystem):
                 f"partitioner covers {self.partitioner.shards} shards, "
                 f"router was asked for {shards}"
             )
-        self.pool = ShardWorkerPool(workers)
         if debug_checks is None:
             from repro.check.flags import sanitize_enabled
 
@@ -141,8 +132,7 @@ class ShardRouter(KVSystem):
         self.shard_budgets: list[int] = [per_shard] * shards
         self.budget_floor = 2 * page_size
         # Elastic resharding state: heat ledger, in-flight migration,
-        # pending merge retire, and the paced maintenance tasks.  All
-        # are foreground-only.
+        # pending merge retire, and the paced maintenance tasks.
         self.heat: ShardHeat | None = None
         self.migration: RangeMigration | None = None
         self.retiring: int | None = None
@@ -195,12 +185,10 @@ class ShardRouter(KVSystem):
                 periodic=True,
             )
         self.sanitizer: Optional[Any] = None
-        self.ownership: Optional[Any] = None
         if debug_checks:
-            from repro.check.sanitizer import OwnershipSanitizer, ShardSanitizer
+            from repro.check.sanitizer import ShardSanitizer
 
             self.sanitizer = ShardSanitizer(self)
-            self.ownership = OwnershipSanitizer(self)
 
     def _build_shard(self, memory_limit_bytes: int) -> KVSystem:
         """Build one shard engine from the stored construction recipe."""
@@ -224,7 +212,7 @@ class ShardRouter(KVSystem):
     # and deletes on both shards (so the double-read cannot resurrect)
     # ------------------------------------------------------------------
     def _after_single(self, sid: int, key: int) -> None:
-        """Foreground bookkeeping after one routed operation."""
+        """Bookkeeping after one routed operation."""
         if self.heat is not None:
             self.heat.note(sid, key)
             self.runtime.scheduler.tick(1)
@@ -260,24 +248,10 @@ class ShardRouter(KVSystem):
         return present
 
     # ------------------------------------------------------------------
-    # batched operations: partition once, dispatch once
+    # batched operations: partition once, one call per non-empty shard
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, sids: Sequence[int], work: Sequence[Callable[[], _T]]
-    ) -> list[_T]:
-        """The one dispatch seam: ``work[i]`` owns shard ``sids[i]``.
-
-        ``pool.run`` is the scatter barrier — it returns only after every
-        thunk finished, so the caller may merge results on its own thread
-        immediately after.  In debug mode the :class:`OwnershipSanitizer`
-        wraps each thunk with its shard's ownership claim first.
-        """
-        if self.ownership is not None:
-            return self.ownership.dispatch(self.pool, sids, work)
-        return self.pool.run(work)
-
     def _after_batch(self, sizes: list[int]) -> None:
-        """Foreground bookkeeping after one batched dispatch."""
+        """Bookkeeping after one batched operation."""
         total = sum(sizes)
         if self.heat is not None:
             self.heat.note_batch(sizes)
@@ -288,26 +262,22 @@ class ShardRouter(KVSystem):
     def put_many(self, keys: Iterable[int], value: bytes) -> None:
         batches = self.partitioner.split(keys)
         shards = self.shards
-        dispatched = [sid for sid, batch in enumerate(batches) if batch]
-        work = [partial(shards[sid].put_many, batches[sid], value) for sid in dispatched]
-        self._dispatch(dispatched, work)
+        for sid, batch in enumerate(batches):
+            if batch:
+                shards[sid].put_many(batch, value)
         self._after_batch([len(batch) for batch in batches])
 
     def get_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
         key_list = list(keys)
         batches, positions = self.partitioner.split_indexed(key_list)
         shards = self.shards
-        dispatched = [sid for sid, batch in enumerate(batches) if batch]
-        work = [partial(shards[sid].get_many, batches[sid]) for sid in dispatched]
-        per_shard_values = self._dispatch(dispatched, work)
-        # Scatter per-shard results back to batch positions.  The merge
-        # runs on the calling thread after the barrier; workers only
-        # return values, they never write shared state.
+        # Scatter per-shard results back to batch positions.
         out: list[Optional[bytes]] = [None] * len(key_list)
-        for sid, values in zip(dispatched, per_shard_values, strict=True):
-            pos = positions[sid]
-            for i, value in zip(pos, values, strict=True):
-                out[i] = value
+        for sid, batch in enumerate(batches):
+            if batch:
+                values = shards[sid].get_many(batch)
+                for i, value in zip(positions[sid], values, strict=True):
+                    out[i] = value
         migration = self.migration
         if migration is not None:
             self._backfill_in_flight(key_list, out, migration)
@@ -322,9 +292,8 @@ class ShardRouter(KVSystem):
     ) -> None:
         """Second read of in-flight misses against the migration source.
 
-        Runs on the foreground after the scatter barrier: keys in the
-        in-flight range route to the destination, but ones not yet
-        copied still live on the source.
+        Runs after the scatter: keys in the in-flight range route to the
+        destination, but ones not yet copied still live on the source.
         """
         covers = migration.covers
         missing = [
@@ -342,14 +311,12 @@ class ShardRouter(KVSystem):
         key_list = list(keys)
         batches, positions = self.partitioner.split_indexed(key_list)
         shards = self.shards
-        dispatched = [sid for sid, batch in enumerate(batches) if batch]
-        work = [partial(shards[sid].delete_many, batches[sid]) for sid in dispatched]
-        per_shard_flags = self._dispatch(dispatched, work)
         out: list[bool] = [False] * len(key_list)
-        for sid, flags in zip(dispatched, per_shard_flags, strict=True):
-            pos = positions[sid]
-            for i, flag in zip(pos, flags, strict=True):
-                out[i] = flag
+        for sid, batch in enumerate(batches):
+            if batch:
+                flags = shards[sid].delete_many(batch)
+                for i, flag in zip(positions[sid], flags, strict=True):
+                    out[i] = flag
         migration = self.migration
         if migration is not None:
             # Deletes of the in-flight range must reach the source copy
@@ -387,8 +354,7 @@ class ShardRouter(KVSystem):
                     break
             result = out[:count]
         else:
-            work = [partial(shards[sid].scan, key, count) for sid in consult]
-            per_shard = self._dispatch(consult, work)
+            per_shard = [shards[sid].scan(key, count) for sid in consult]
             merged = heapq_merge(*per_shard, key=itemgetter(0))
             result = [pair for pair, __ in zip(merged, range(count))]
         if self.sanitizer is not None:
@@ -437,8 +403,7 @@ class ShardRouter(KVSystem):
         """Advance the router's background pacing clock by ``ops``.
 
         The rebalancer runs (plans or advances a migration) when its
-        pacing interval elapses.  Foreground-only, like every router
-        maintenance seam.
+        pacing interval elapses.
         """
         self.runtime.scheduler.tick(ops)
 
@@ -604,8 +569,6 @@ class ShardRouter(KVSystem):
             self.heat.resize(shards)
         if self.rebalancer is not None:
             self.rebalancer.fleet_changed(shards)
-        if self.ownership is not None:
-            self.ownership.restamp()
         self.fleet_events.append((kind, sid))
         self.runtime.stats.bump(f"fleet_{kind}s")
 
@@ -615,9 +578,6 @@ class ShardRouter(KVSystem):
     def flush(self) -> None:
         for shard in self.shards:
             shard.flush()
-
-    def close(self) -> None:
-        self.pool.close()
 
     def shard_snapshots(self) -> list[Snapshot]:
         return [shard.snapshot() for shard in self.shards]
@@ -651,6 +611,5 @@ class ShardRouter(KVSystem):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardRouter({self.base_system!r}, shards={self.num_shards}, "
-            f"partitioner={type(self.partitioner).__name__}, "
-            f"workers={self.pool.workers})"
+            f"partitioner={type(self.partitioner).__name__})"
         )

@@ -145,6 +145,20 @@ class SimDisk:
         """Return ``(busy_ns, counter snapshot)`` for delta-based sampling."""
         return (self.busy_ns, self.stats.snapshot())
 
+    def checkpoint(self) -> tuple[float, dict[str, float], int, int]:
+        """Everything a request changes besides the blobs, for :meth:`rollback`."""
+        return (self.busy_ns, self.stats.snapshot(), self._last_read_end, self._last_write_end)
+
+    def rollback(self, state: tuple[float, dict[str, float], int, int]) -> None:
+        """Restore a :meth:`checkpoint`: busy time, counters, and both heads.
+
+        The heads matter as much as the counters: a probe read moves the
+        read head, which would reclassify the next real read as
+        sequential or random.
+        """
+        self.busy_ns, counters, self._last_read_end, self._last_write_end = state
+        self.stats.restore(counters)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimDisk(used={self.used_bytes}B, busy={self.busy_ns / 1e6:.1f}ms, "

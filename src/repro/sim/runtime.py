@@ -302,23 +302,6 @@ class EngineRuntime:
         self.stats = stats if stats is not None else StatCounters()
         self.scheduler = BackgroundScheduler(self)
 
-    def install_owner_guard(self, guard: Callable[[], None]) -> None:
-        """Debug seam: run ``guard`` before every clock/stats mutation.
-
-        The :class:`~repro.check.sanitizer.OwnershipSanitizer` stamps each
-        shard's runtime with a guard that checks the mutating thread holds
-        that shard's ownership claim, turning cross-shard (or
-        foreground-state) touches during a threaded dispatch into
-        immediate failures instead of silent nondeterminism.
-        """
-        self.clock._owner_guard = guard
-        self.stats._owner_guard = guard
-
-    def clear_owner_guard(self) -> None:
-        """Remove an installed owner guard (back to zero-cost mutation)."""
-        self.clock._owner_guard = None
-        self.stats._owner_guard = None
-
     @contextmanager
     def observation(self) -> Iterator[None]:
         """Walk cost-charged paths without perturbing simulated results.
@@ -326,21 +309,22 @@ class EngineRuntime:
         Observers — the ``repro.check`` sanitizers, debug probes — need to
         call real read paths (``get``, page walks) whose cost charging
         would otherwise leak into the measurement.  On exit every
-        simulated-time account (foreground/background CPU, disk busy time)
-        and the stats bus are restored to their entry values.  Cache
-        *state* touched by the probes (block cache, buffer pool frames) is
-        not rolled back; see EXPERIMENTS.md for the residual effect.
+        simulated-time account (foreground/background CPU), the stats bus
+        and the disk (busy time, its own counters, its sequential-I/O
+        heads) are restored to their entry values.  Cache *state* touched
+        by the probes (block cache, buffer pool frames) is not rolled
+        back; see EXPERIMENTS.md for the residual effect.
         """
         cpu_ns = self.clock.cpu_ns
         background_ns = self.clock.background_ns
-        disk_busy_ns = self.disk.busy_ns
+        disk_state = self.disk.checkpoint()
         counters = self.stats.snapshot()
         try:
             yield
         finally:
             self.clock.cpu_ns = cpu_ns
             self.clock.background_ns = background_ns
-            self.disk.busy_ns = disk_busy_ns
+            self.disk.rollback(disk_state)
             self.stats.restore(counters)
 
     # ------------------------------------------------------------------

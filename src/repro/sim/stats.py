@@ -7,7 +7,6 @@ misses), and anything a benchmark wants to report per time slice.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Callable, Optional
 
 
 class _CountMap(dict[str, float]):
@@ -34,24 +33,16 @@ class StatCounters:
     is a single ``+=`` rather than a get/put pair.
     """
 
-    __slots__ = ("_counts", "_owner_guard")
+    __slots__ = ("_counts",)
 
     def __init__(self) -> None:
         self._counts: _CountMap = _CountMap()
-        #: debug seam: when set (OwnershipSanitizer), runs before every
-        #: bump so cross-shard mutations fail loudly; None in normal
-        #: runs, costing one predictable branch per bump.
-        self._owner_guard: Optional[Callable[[], None]] = None
 
     def bump(self, name: str, amount: float = 1) -> None:
-        if self._owner_guard is not None:
-            self._owner_guard()
         self._counts[name] += amount
 
     def record_max(self, name: str, value: float) -> None:
         """Keep the running maximum of a gauge (queue depths, peaks)."""
-        if self._owner_guard is not None:
-            self._owner_guard()
         if value > self._counts[name]:
             self._counts[name] = value
 

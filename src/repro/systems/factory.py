@@ -108,6 +108,12 @@ def _build_sharded(
     # so a module-level import either way would be circular.
     from repro.shard.router import ShardRouter
 
+    # perfbench/workloads.py still passes ``workers=0``; shard dispatch
+    # is always serial, so any other value is an error.
+    workers = kwargs.pop("workers", 0)
+    if workers:
+        raise ValueError(f"shard dispatch is serial; workers={workers} is not supported")
+
     return ShardRouter(
         memory_limit_bytes=memory_limit_bytes,
         page_size=page_size,
@@ -156,9 +162,9 @@ def split_router_spec(spec: str) -> tuple[str, dict[str, str]]:
 
     ``Sharded@rebalance=on``, ``Sharded@budget=floor:0.1`` and
     ``Sharded@block=s3fifo,rebalance=threshold:1.3,budget=on`` all route
-    their knob values (the grammars of
-    :meth:`~repro.shard.rebalance.RebalanceConfig.from_spec` and
-    :meth:`~repro.shard.budget.BudgetConfig.from_spec`) to the matching
+    their knob values (the :class:`~repro.core.config.KnobConfig`
+    grammar of :class:`~repro.shard.rebalance.RebalanceConfig` and
+    :class:`~repro.shard.budget.BudgetConfig`) to the matching
     router keyword argument; the remaining parts stay a normal
     cache-policy spec.  Only ``Sharded`` accepts these knobs — they name
     router mechanisms no single-engine system has.
@@ -184,23 +190,6 @@ def split_router_spec(spec: str) -> tuple[str, dict[str, str]]:
             kept.append(part)
     remainder = name + (f"@{','.join(kept)}" if kept else "")
     return remainder, knobs
-
-
-def split_rebalance_spec(spec: str) -> tuple[str, str | None]:
-    """Compatibility wrapper: the ``rebalance=`` part of a system spec.
-
-    Prefer :func:`split_router_spec`, which extracts every router knob.
-    Raises if the spec also carries other router knobs this wrapper
-    would silently drop.
-    """
-    remainder, knobs = split_router_spec(spec)
-    extra = sorted(set(knobs) - {"rebalance"})
-    if extra:
-        raise ValueError(
-            f"spec {spec!r} carries router knobs {extra} this helper cannot "
-            "return; use split_router_spec"
-        )
-    return remainder, knobs.get("rebalance")
 
 
 def parse_system_spec(spec: str) -> tuple[str, CachePolicyConfig | None]:

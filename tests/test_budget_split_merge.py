@@ -132,7 +132,6 @@ def test_factory_budget_spec_routes_to_router():
     assert router.budgeter is not None
     names = {task.name for task in router.runtime.scheduler.tasks}
     assert "budget" in names
-    router.close()
     with pytest.raises(ValueError, match="drop the explicit"):
         build_system(
             "Sharded@budget=on",
@@ -153,7 +152,6 @@ def test_router_opens_with_equal_budgets():
     per = router.shard_budgets[0]
     assert router.shard_budgets == [per] * 4
     assert sum(router.shard_budgets) == router.total_memory_limit
-    router.close()
 
 
 def test_apply_budgets_validates_coverage_and_conservation():
@@ -166,7 +164,6 @@ def test_apply_budgets_validates_coverage_and_conservation():
     router.apply_budgets([total - total // 4, total // 4])
     assert router.shard_budgets == [total - total // 4, total // 4]
     assert check_shard_router(router) == []
-    router.close()
 
 
 def test_router_total_resize_preserves_ratios():
@@ -178,7 +175,6 @@ def test_router_total_resize_preserves_ratios():
     assert router.total_memory_limit == 2 * total
     # The 3:1 shape survives the pool resize.
     assert router.shard_budgets[0] > 2 * router.shard_budgets[1]
-    router.close()
 
 
 def test_budget_rebalancer_follows_heat():
@@ -196,7 +192,6 @@ def test_budget_rebalancer_follows_heat():
     # Contents survive the resize and the ledger stays clean.
     assert router.get_many(keys) == [VALUE] * len(keys)
     assert check_shard_router(router) == []
-    router.close()
 
 
 def test_budget_rebalancer_hysteresis_and_min_load_gates():
@@ -212,7 +207,6 @@ def test_budget_rebalancer_hysteresis_and_min_load_gates():
     router.budgeter.run_once()
     assert router.shard_budgets == equal
     assert router.budgeter.resplits == 0
-    router.close()
 
 
 def test_budget_rebalancer_floor_protects_cold_shards():
@@ -223,7 +217,6 @@ def test_budget_rebalancer_floor_protects_cold_shards():
     equal = router.total_memory_limit / 2
     assert router.shard_budgets[1] >= int(equal * 0.25)
     assert sum(router.shard_budgets) == router.total_memory_limit
-    router.close()
 
 
 def test_budget_rounds_skip_while_migration_in_flight():
@@ -237,7 +230,6 @@ def test_budget_rounds_skip_while_migration_in_flight():
     heat_shard(router, 0, 10_000.0)
     router.budgeter.run_once()
     assert router.shard_budgets == equal  # skipped: placement still moving
-    router.close()
 
 
 def test_budget_resize_charges_nothing():
@@ -253,7 +245,6 @@ def test_budget_resize_charges_nothing():
         delta = snap.delta(shard.snapshot())
         assert delta.cpu_ns == 0.0
         assert delta.disk_busy_ns == 0.0
-    router.close()
 
 
 # ----------------------------------------------------------------------
@@ -415,8 +406,6 @@ def test_begin_split_validates_preconditions():
     hash_router = ShardRouter(shards=2, memory_limit_bytes=LIMIT, partitioner="hash")
     with pytest.raises(ValueError, match="weighted"):
         hash_router.begin_split(0, 10)
-    hash_router.close()
-    router.close()
 
 
 def test_split_grows_fleet_and_preserves_contents():
@@ -445,7 +434,6 @@ def test_split_grows_fleet_and_preserves_contents():
         assert router.shards[1].read(key) == VALUE
     assert check_shard_router(router) == []
     assert router.runtime.stats["fleet_splits"] == 1
-    router.close()
 
 
 def test_split_rejected_while_migration_in_flight():
@@ -454,7 +442,6 @@ def test_split_rejected_while_migration_in_flight():
     router.begin_split(0, (lo + hi) // 2)
     with pytest.raises(RuntimeError, match="in flight"):
         router.begin_split(0, (lo + hi) // 4)
-    router.close()
 
 
 def test_merge_shrinks_fleet_and_preserves_contents():
@@ -478,7 +465,6 @@ def test_merge_shrinks_fleet_and_preserves_contents():
     assert router.get_many(keys) == [VALUE] * len(keys)
     assert check_shard_router(router) == []
     assert router.runtime.stats["fleet_merges"] == 1
-    router.close()
 
 
 def test_merge_validates_sid_range():
@@ -487,7 +473,6 @@ def test_merge_validates_sid_range():
         router.begin_merge(0)
     with pytest.raises(ValueError, match="left neighbour"):
         router.begin_merge(2)
-    router.close()
 
 
 def test_merge_of_one_key_shard_finishes_inline():
@@ -504,7 +489,6 @@ def test_merge_of_one_key_shard_finishes_inline():
     assert router.read(hi - 1) == VALUE
     assert router.read(lo) == VALUE
     assert check_shard_router(router) == []
-    router.close()
 
 
 def test_split_then_merge_cycle_conserves_everything():
@@ -523,7 +507,6 @@ def test_split_then_merge_cycle_conserves_everything():
     assert router.get_many(keys) == [VALUE] * len(keys)
     assert [e[0] for e in router.fleet_events] == ["split", "merge"]
     assert check_shard_router(router) == []
-    router.close()
 
 
 def test_fleet_change_resets_heat_ledger():
@@ -534,7 +517,6 @@ def test_fleet_change_resets_heat_ledger():
     assert router.heat.shards == 3
     assert router.heat.ops == [0.0, 0.0, 0.0]
     assert router.heat.total_ops == [0, 0, 0]
-    router.close()
 
 
 def test_sanitizer_flags_budget_ledger_corruption():
@@ -547,7 +529,6 @@ def test_sanitizer_flags_budget_ledger_corruption():
     router.shard_budgets.append(1)  # breaks coverage
     violations = check_shard_router(router)
     assert any(v.check == "shard-budget" for v in violations)
-    router.close()
 
 
 def test_sanitizer_flags_merge_descriptor_mismatch():
@@ -558,7 +539,6 @@ def test_sanitizer_flags_merge_descriptor_mismatch():
     router.migration.dst = 2  # a merge must drain into the left neighbour
     violations = check_shard_router(router)
     assert any(v.check == "shard-merge" for v in violations)
-    router.close()
 
 
 # ----------------------------------------------------------------------

@@ -160,3 +160,18 @@ def test_charge_fingerprint_migration(monkeypatch):
     for engine in engines(system):
         assert engine.index.y.stats["flushes"] >= 1
         assert engine.index.y.stats["compactions"] >= 1
+
+
+@pytest.mark.parametrize("name", ["ART-B+", "RocksDB"])
+def test_sanitized_trace_matches_pinned_fingerprint(name):
+    """The sanitizers' probes roll back every account they charge.
+
+    Their reads run under ``EngineRuntime.observation()``, which must
+    also restore the disk's own counters and its sequential-I/O heads:
+    a probe read that moved the read head reclassified the next real
+    read, and its bytes showed up in ``bytes_read``.
+    """
+    kwargs, expected = CASES[name]
+    system = build_system(name, memory_limit_bytes=MEMORY_LIMIT, debug_checks=True, **kwargs)
+    run_trace(system)
+    assert [fingerprint(e) for e in engines(system)] == expected

@@ -2,8 +2,7 @@
 
 Each rule gets a violating fixture and a clean twin fed through
 ``charge_lint_sources`` under a ``lsm/``-prefixed rel path (inside the
-analysis scope), mirroring ``test_check_racecheck.py``: the fixture
-*is* the contract.  The tail of the file pins the CLI behaviours the
+analysis scope): the fixture *is* the contract.  The tail of the file pins the CLI behaviours the
 CI pipeline depends on — ``--rules`` parsing, ``--list-rules`` output,
 the generated DESIGN.md rule table, and RL3xx presence in SARIF.
 """

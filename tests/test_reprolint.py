@@ -264,70 +264,6 @@ def test_rl007_pragma_suppresses():
     assert lint(src, path=HOT) == []
 
 
-# -- RL008: shard dispatch loop discipline ------------------------------
-
-SHARD = "src/repro/shard/fixture.py"
-
-
-def test_rl008_fires_on_lock_calls_in_dispatch_loop():
-    src = """
-    def dispatch(self, batches):
-        for batch in batches:
-            self.lock.acquire()
-            work(batch)
-            self.lock.release()
-    """
-    assert rules_of(lint(src, path=SHARD)) == ["RL008", "RL008"]
-
-
-def test_rl008_fires_on_lock_context_manager_in_loop():
-    src = """
-    def dispatch(self, batches):
-        for batch in batches:
-            with self._mutex:
-                work(batch)
-    """
-    assert rules_of(lint(src, path=SHARD)) == ["RL008"]
-
-
-def test_rl008_fires_on_self_rooted_mutation_in_loop():
-    src = """
-    def dispatch(self, batches):
-        for sid, batch in enumerate(batches):
-            self.pending.append(batch)
-            self.counts[sid] += 1
-            self.last = sid
-    """
-    assert rules_of(lint(src, path=SHARD)) == ["RL008", "RL008", "RL008"]
-
-
-def test_rl008_quiet_on_function_local_accumulators():
-    src = """
-    def dispatch(self, batches):
-        out = []
-        append = out.append
-        shards = self.shards
-        for sid, batch in enumerate(batches):
-            append(shards[sid].run(batch))
-        self.total = len(out)
-        return out
-    """
-    assert lint(src, path=SHARD) == []
-
-
-def test_rl008_quiet_on_self_writes_outside_loops():
-    assert lint("def setup(self):\n    self.shards = []\n", path=SHARD) == []
-
-
-def test_rl008_only_applies_to_shard_modules():
-    src = """
-    def dispatch(self, batches):
-        for batch in batches:
-            self.pending.append(batch)
-    """
-    assert lint(src) == []
-
-
 # -- RL009: cache-policy determinism ------------------------------------
 
 POLICY = "src/repro/cache/fixture.py"
@@ -380,15 +316,6 @@ def test_rl009_only_applies_to_cache_modules():
             return key
     """
     assert lint(src) == []
-
-
-def test_rl008_pragma_suppresses():
-    src = """
-    def dispatch(self, batches):
-        for batch in batches:
-            self.pending.append(batch)  # reprolint: allow[RL008]
-    """
-    assert lint(src, path=SHARD) == []
 
 
 def test_rl003_fires_on_concurrent_imports():
@@ -462,3 +389,24 @@ def test_cli_list_rules(capsys):
 def test_cli_default_target_is_package_clean():
     # The shipped package must lint clean with no arguments.
     assert check_main([]) == 0
+
+
+def test_cli_unused_pragmas_reports_stale(tmp_path, capsys):
+    target = tmp_path / "stale.py"
+    target.write_text("x = 1  # reprolint: allow[RL004]\n")
+    assert check_main(["--unused-pragmas", str(target)]) == 1
+    out = capsys.readouterr().out
+    assert "stale pragma" in out and "RL004" in out
+
+
+def test_cli_unused_pragmas_keeps_live_ones(tmp_path):
+    target = tmp_path / "live.py"
+    target.write_text("import time  # reprolint: allow[RL004]\n")
+    assert check_main(["--unused-pragmas", str(target)]) == 0
+    # The suppressed finding keeps the lint run itself green.
+    assert check_main([str(target)]) == 0
+
+
+def test_cli_unused_pragmas_clean_tree(tmp_path):
+    (tmp_path / "ok.py").write_text("x = 1\n")
+    assert check_main(["--unused-pragmas", str(tmp_path)]) == 0

@@ -15,7 +15,6 @@ from repro.shard import (
     HashPartitioner,
     RangePartitioner,
     ShardRouter,
-    ShardWorkerPool,
     make_partitioner,
 )
 from repro.systems import build_system, registered_systems
@@ -68,23 +67,12 @@ def test_make_partitioner_rejects_unknown_kind():
         make_partitioner("consistent", 4, 1 << 40)
 
 
-# -- worker pool ---------------------------------------------------------
-
-
-def test_pool_serial_and_threaded_preserve_submission_order():
-    thunks = [lambda i=i: i * i for i in range(20)]
-    with ShardWorkerPool(0) as serial, ShardWorkerPool(4) as threaded:
-        assert not serial.threaded
-        assert threaded.threaded
-        assert serial.run(thunks) == threaded.run(thunks) == [i * i for i in range(20)]
-
-
 # -- router vs reference model ------------------------------------------
 
 
 @pytest.fixture(params=["hash", "range"])
 def router(request):
-    r = build_system(
+    return build_system(
         "Sharded",
         memory_limit_bytes=LIMIT,
         base_system="ART-LSM",
@@ -92,8 +80,6 @@ def router(request):
         partitioner=request.param,
         key_space=1 << 40,
     )
-    yield r
-    r.close()
 
 
 def test_router_roundtrip_matches_reference_model(router):
@@ -160,28 +146,6 @@ def test_router_rejects_bad_shard_count():
         ShardRouter(shards=0)
 
 
-def test_router_threaded_dispatch_matches_serial():
-    keys = random_insert_keys(2000, key_space=1 << 40, seed=29)
-
-    def run(workers: int):
-        r = build_system(
-            "Sharded", memory_limit_bytes=LIMIT, base_system="ART-LSM", shards=4, workers=workers
-        )
-        r.put_many(keys, VALUE)
-        values = r.get_many(keys[::2])
-        scan = r.scan(min(keys), 40)
-        flags = r.delete_many(keys[::5])
-        snaps = [
-            (s.cpu_ns, s.background_ns, s.disk_busy_ns, s.ops, s.disk_read_bytes, s.disk_write_bytes)
-            for s in r.shard_snapshots()
-        ]
-        stats = [shard.stats.as_dict() for shard in r.shards]
-        r.close()
-        return values, scan, flags, snaps, stats
-
-    assert run(0) == run(2) == run(4)
-
-
 # -- factory -------------------------------------------------------------
 
 
@@ -191,6 +155,13 @@ def test_factory_registers_sharded_system():
     router = build_system("Sharded", memory_limit_bytes=LIMIT, shards=2)
     assert router.num_shards == 2
     assert router.name == "Sharded-ART-LSMx2"
+
+
+def test_factory_accepts_only_serial_workers():
+    router = build_system("Sharded", memory_limit_bytes=LIMIT, shards=2, workers=0)
+    assert router.num_shards == 2
+    with pytest.raises(ValueError, match="serial"):
+        build_system("Sharded", memory_limit_bytes=LIMIT, shards=2, workers=2)
 
 
 def test_factory_error_lists_registered_systems():
@@ -208,7 +179,6 @@ def test_router_wraps_every_table1_system(base):
     keys = random_insert_keys(300, key_space=1 << 40, seed=31)
     router.put_many(keys, VALUE)
     assert router.get_many(keys[:30]) == [VALUE] * 30
-    router.close()
 
 
 # -- sanitizer -----------------------------------------------------------
