@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import platform
 import statistics
 import sys
@@ -61,6 +62,7 @@ _SCALES = {
     "serve_skew": (60_000, 12_000),
     "serve_skew_budget": (30_000, 8_000),
     "check_deep": (1, 1),  # n = full-tree analysis passes, not ops
+    "lsm_compaction": (40_000, 8_000),
 }
 
 #: per-benchmark caps on the repeat count (1 for the expensive
@@ -374,6 +376,61 @@ def _bench_check_deep(n: int) -> tuple[int, float]:
     return n * len(files), wall
 
 
+def _bench_lsm_compaction(n: int) -> tuple[int, float, dict]:
+    """The LSM table-write path: puts that flush tables and compact them.
+
+    ``n`` random keys go through ``LSMStore.put`` on a store wired to an
+    ``EngineRuntime``, with a 16 KiB MemTable and a 256 KiB level 1, so
+    tables flush every few hundred puts, each fifth level-0 table
+    compacts into level 1, and a full level 1 compacts into level 2, all
+    on the background scheduler (bloom builds, merges, block cutting).  The
+    ``lsm_compaction`` extra records the flush and compaction counts and
+    the Python calls per op of a second, untimed run under cProfile —
+    deterministic, so comparable across hosts.
+    """
+    import cProfile
+    import pstats
+
+    from repro.lsm import LSMConfig, LSMStore
+    from repro.sim.runtime import EngineRuntime
+
+    keys = _encoded_random_keys(n)
+    config = LSMConfig(memtable_bytes=16 * 1024, level1_bytes=256 * 1024)
+
+    def load() -> LSMStore:
+        runtime = EngineRuntime()
+        store = LSMStore(config=config, runtime=runtime)
+        put = store.put
+        tick = runtime.scheduler.tick
+        for key in keys:
+            put(key, VALUE8)
+            tick()
+        store.flush()
+        runtime.scheduler.drain()
+        return store
+
+    t0 = perf_counter()
+    store = load()
+    wall = perf_counter() - t0
+    compactions = int(store.stats["compactions"])
+    if not compactions:
+        raise RuntimeError("lsm_compaction ran no compaction; the bench measures nothing")
+    profile = cProfile.Profile()
+    profile.runcall(load)
+    stats = pstats.Stats(profile).stats  # type: ignore[attr-defined]
+    calls = sum(entry[1] for entry in stats.values())
+    lsm_calls = sum(entry[1] for (path, __, __), entry in stats.items() if "/repro/lsm/" in path)
+    extra = {
+        "lsm_compaction": {
+            "flushes": int(store.stats["flushes"]),
+            "compactions": compactions,
+            "calls_per_op": round(calls / n, 2),
+            "lsm_calls_per_op": round(lsm_calls / n, 2),
+        }
+    }
+    return n, wall, extra
+
+
 _BENCHMARKS: dict[str, Callable[[int], tuple]] = {
     "art_random_insert": _bench_art_random_insert,
     "art_search": _bench_art_search,
@@ -388,6 +445,7 @@ _BENCHMARKS: dict[str, Callable[[int], tuple]] = {
     "serve_skew": _bench_serve_skew,
     "serve_skew_budget": _bench_serve_skew_budget,
     "check_deep": _bench_check_deep,
+    "lsm_compaction": _bench_lsm_compaction,
 }
 
 
@@ -449,6 +507,18 @@ def run_benchmarks(
         results[name] = entry
         print(f"  {name:<20} {ops:>8} ops   {wall:8.3f} s   {wall / ops * 1e6:9.3f} us/op")
     return results
+
+
+def _cpu_model() -> str:
+    """The host's CPU model name (``/proc/cpuinfo`` where it exists)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
 
 
 def default_output_path() -> Path:
@@ -517,6 +587,8 @@ def main(argv: list[str] | None = None) -> int:
             "mode": mode,
             "python": platform.python_version(),
             "platform": platform.platform(),
+            "nproc": os.cpu_count(),
+            "cpu_model": _cpu_model(),
             "benchmarks": benches,
         }
         if args.only:

@@ -56,7 +56,7 @@ from repro.btree.tree import BPlusTree
 from repro.core.adapters import ARTIndexX, BTreeIndexX
 from repro.core.multi_y import RoutedIndexY
 from repro.diskbtree.bufferpool import BufferPool
-from repro.diskbtree.page import InnerPage, LeafPage
+from repro.diskbtree.page import LeafPage
 from repro.cache.bytecache import PolicyCache
 from repro.diskbtree.tree import DiskBPlusTree
 from repro.lsm.store import TOMBSTONE, LSMStore

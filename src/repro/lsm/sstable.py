@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
+from operator import add, itemgetter
 from typing import Iterator, Optional
 
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, key_hash
 from repro.lsm.cache import PolicyCache
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
@@ -25,6 +27,17 @@ from repro.sim.effects import charges
 _ENTRY_HEADER_BYTES = 6
 
 Entry = tuple[bytes, bytes]
+
+
+def entry_ends(pairs: list[Entry]) -> list[int]:
+    """Running record sizes: ``ends[i]`` is Σ(6 + |key| + |value|) of ``pairs[:i + 1]``.
+
+    Strictly increasing, so a byte budget becomes one bisect per cut.
+    """
+    key_lens = map(len, map(itemgetter(0), pairs))
+    value_lens = map(len, map(itemgetter(1), pairs))
+    sizes = map(add, map(add, key_lens, value_lens), repeat(_ENTRY_HEADER_BYTES))
+    return list(accumulate(sizes))
 
 
 class BlockImage:
@@ -102,19 +115,19 @@ class SSTable:
             raise ValueError("cannot build an empty SSTable")
         costs = costs or CostModel()
 
+        # A block ends before the entry that would push it past
+        # ``block_size``, and always holds at least one entry.
+        ends = entry_ends(pairs)
         images: list[BlockImage] = []
         start = 0
-        current_bytes = 0
-        for end, (key, value) in enumerate(pairs):
-            entry_bytes = _ENTRY_HEADER_BYTES + len(key) + len(value)
-            if end > start and current_bytes + entry_bytes > block_size:
-                images.append(BlockImage(tuple(pairs[start:end]), current_bytes))
-                start = end
-                current_bytes = 0
-            current_bytes += entry_bytes
-        images.append(BlockImage(tuple(pairs[start:]), current_bytes))
+        done = 0  # bytes of the blocks cut so far
+        while start < len(pairs):
+            end = max(start + 1, bisect_right(ends, done + block_size, start))
+            images.append(BlockImage(tuple(pairs[start:end]), ends[end - 1] - done))
+            start = end
+            done = ends[end - 1]
 
-        total = sum(image.nbytes for image in images)
+        total = ends[-1]
         base = disk.allocate(total)
         offsets: list[int] = []
         first_keys: list[bytes] = []
@@ -132,7 +145,7 @@ class SSTable:
             else:
                 clock.charge_cpu(cpu_ns)
 
-        bloom = BloomFilter.build((k for k, __ in pairs), bits_per_key)
+        bloom = BloomFilter.build(map(itemgetter(0), pairs), bits_per_key)
         return cls(
             table_id=table_id,
             disk=disk,
@@ -172,14 +185,19 @@ class SSTable:
         block_cache: PolicyCache | None = None,
         clock: SimClock | None = None,
         costs: CostModel | None = None,
+        hashed: tuple[int, int] | None = None,
     ) -> Optional[bytes]:
-        """Point lookup; bloom-filter negative answers avoid any I/O."""
+        """Point lookup; bloom-filter negative answers avoid any I/O.
+
+        ``hashed`` is the key's :func:`~repro.lsm.bloom.key_hash`, for a
+        caller that probes several tables with the same key.
+        """
         costs = costs or CostModel()
         if clock is not None:
             clock.charge_cpu(costs.bloom_probe)
         if key < self.min_key or key > self.max_key:
             return None
-        if not self.bloom.may_contain(key):
+        if not self.bloom.may_contain_hash(*(hashed or key_hash(key))):
             return None
         index = self._block_index_for(key)
         entries = self._load_block(index, block_cache)
@@ -196,13 +214,18 @@ class SSTable:
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield pairs with key >= ``start`` in order, reading block by block."""
         first = 0 if start is None else self._block_index_for(start)
-        for index in range(first, len(self._block_offsets)):
-            for key, value in self._load_block(index, block_cache):
-                if start is None or key >= start:
-                    yield key, value
+        entries = self._load_block(first, block_cache)
+        yield from (entries if start is None else entries[bisect_left(entries, (start,)) :])
+        for index in range(first + 1, len(self._block_offsets)):
+            yield from self._load_block(index, block_cache)
 
     def iter_all(self, block_cache: PolicyCache | None = None) -> Iterator[tuple[bytes, bytes]]:
         return self.iter_from(None, block_cache)
+
+    def iter_blocks(self) -> Iterator[tuple[Entry, ...]]:
+        """Each block's entries in order, read from disk (no cache)."""
+        for index in range(len(self._block_offsets)):
+            yield self._load_block(index, None)
 
     # ------------------------------------------------------------------
     # lifecycle / accounting

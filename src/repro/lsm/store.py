@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterator, Optional
 
+from repro.lsm.bloom import key_hash
 from repro.lsm.cache import PolicyCache
 from repro.lsm.memtable import MemTable
-from repro.lsm.sstable import SSTable
+from repro.lsm.sstable import SSTable, entry_ends
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
@@ -240,48 +241,42 @@ class LSMStore:
     def _merge_tables(
         self, newer: list[SSTable], older: list[SSTable], drop_tombstones: bool
     ) -> list[tuple[bytes, bytes]]:
-        """Newest-wins ``heapq.merge`` of complete tables (no caches).
+        """Newest-wins merge of complete tables (no caches).
 
-        Each table is still read in full, oldest table first, before any
-        merging happens — the simulated disk classifies sequential vs.
-        random I/O by request order, so the read schedule (and with it the
-        simulated cost) must not depend on how the merge interleaves keys.
-        The k-way merge then runs purely in memory over the sorted runs.
+        Every block of every table is read in order, oldest table first —
+        the simulated disk classifies sequential vs. random I/O by request
+        order, so the read schedule (and with it the simulated cost) is
+        fixed before any merging happens.  Each block's entries update one
+        dict in that order, so a newer table's entry replaces an older
+        one; the merged run is then sorted once.
         """
-        runs = [list(t.iter_all()) for t in list(reversed(older)) + list(reversed(newer))]
-        # The keyed merge is stable: equal keys come out in run order
-        # (oldest run first), so the last entry seen for a key is the
-        # newest — it overwrites in place.
-        items: list[tuple[bytes, bytes]] = []
-        last_key: bytes | None = None
-        for key, value in heapq.merge(*runs, key=itemgetter(0)):
-            if key == last_key:
-                items[-1] = (key, value)
-            else:
-                items.append((key, value))
-                last_key = key
+        merged: dict[bytes, bytes] = {}
+        for table in [*reversed(older), *reversed(newer)]:
+            for entries in table.iter_blocks():
+                merged.update(entries)
+        items = sorted(merged.items())
         if self.clock is not None:
             self.clock.charge_background(
                 self.costs.compare_cost(len(items)) + self.costs.copy_cost(len(items) * 16)
             )
         if drop_tombstones:
-            items = [(k, v) for k, v in items if v != TOMBSTONE]
+            live = map(TOMBSTONE.__ne__, map(itemgetter(1), items))
+            items = list(itertools.compress(items, live))
         return items
 
     @staticmethod
     def _chunk_pairs(
         pairs: list[tuple[bytes, bytes]], budget_bytes: int
     ) -> Iterator[list[tuple[bytes, bytes]]]:
-        chunk: list[tuple[bytes, bytes]] = []
-        size = 0
-        for key, value in pairs:
-            chunk.append((key, value))
-            size += len(key) + len(value) + 6
-            if size >= budget_bytes:
-                yield chunk
-                chunk, size = [], 0
-        if chunk:
-            yield chunk
+        """Cut ``pairs`` into runs; a run ends after the entry that reaches ``budget_bytes``."""
+        ends = entry_ends(pairs)
+        start = 0
+        done = 0  # bytes of the runs cut so far
+        while start < len(pairs):
+            end = min(len(pairs), bisect_left(ends, done + budget_bytes, start) + 1)
+            yield pairs[start:end]
+            start = end
+            done = ends[end - 1]
 
     # ------------------------------------------------------------------
     # reads
@@ -298,8 +293,9 @@ class LSMStore:
             if cached is not None:
                 self.stats.bump("row_cache_hits")
                 return None if cached == TOMBSTONE else cached
+        hashed = key_hash(key)  # one bloom hash serves every table probed
         for table in self.levels[0]:
-            value = table.get(key, self.block_cache, self.clock, self.costs)
+            value = table.get(key, self.block_cache, self.clock, self.costs, hashed)
             if value is not None:
                 self._fill_row_cache(key, value)
                 return None if value == TOMBSTONE else value
@@ -307,7 +303,7 @@ class LSMStore:
             table = self._find_table(level, key)
             if table is None:
                 continue
-            value = table.get(key, self.block_cache, self.clock, self.costs)
+            value = table.get(key, self.block_cache, self.clock, self.costs, hashed)
             if value is not None:
                 self._fill_row_cache(key, value)
                 return None if value == TOMBSTONE else value

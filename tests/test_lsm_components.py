@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.art import encode_int
-from repro.lsm import BloomFilter, LRUCache, MemTable, SSTable
+from repro.lsm import BloomFilter, LRUCache, LSMStore, MemTable, SSTable
 from repro.lsm.bloom import fnv1a
 from repro.lsm.sstable import BlockImage
 from repro.sim import SimClock, SimDisk
@@ -45,6 +45,39 @@ def test_bloom_handles_empty_expectation():
     bloom = BloomFilter(expected_keys=0)
     bloom.add(b"x")
     assert bloom.may_contain(b"x")
+
+
+def bloom_by_add(keys, bits_per_key):
+    """The filter per-key ``add`` builds: the bits ``build`` must match."""
+    bloom = BloomFilter(len(keys), bits_per_key)
+    for key in keys:
+        bloom.add(key)
+    return bloom
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.binary(max_size=24), min_size=1, max_size=300),
+    st.sampled_from([1, 4, 10, 16]),
+)
+def test_bloom_build_matches_per_key_add(keys, bits_per_key):
+    keys = keys + keys[::3]  # duplicates set the same bits again
+    assert BloomFilter.build(keys, bits_per_key)._bits == bloom_by_add(keys, bits_per_key)._bits
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
+def test_bloom_build_matches_per_key_add_across_slices(n):
+    # Most keys share one length, so that length's run crosses the
+    # 4096-key slices the bulk build hashes at a time.
+    rng = random.Random(n)
+    lengths = [0, 1, 7, 8, 8, 8, 8, 8, 9, 24]
+    keys = [rng.randbytes(rng.choice(lengths)) for __ in range(n)]
+    keys[n // 2 :: 7] = keys[: len(keys[n // 2 :: 7])]  # duplicates
+    rng.shuffle(keys)
+    for bits_per_key in (6, 10):
+        built = BloomFilter.build(keys, bits_per_key)
+        assert built._bits == bloom_by_add(keys, bits_per_key)._bits
+        assert all(built.may_contain(k) for k in keys)
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +234,92 @@ def test_block_images_sum_to_data_bytes():
     assert disk.stats["bytes_written"] == table.data_bytes == disk.used_bytes
 
 
+def blocks_entry_by_entry(pairs, block_size):
+    """(first key, bytes) per block, cutting the run one entry at a time.
+
+    A block ends before the entry that would push it past ``block_size``
+    and always holds at least one entry.
+    """
+    blocks = []
+    start = 0
+    current = 0
+    for end, (key, value) in enumerate(pairs):
+        entry_bytes = 6 + len(key) + len(value)
+        if end > start and current + entry_bytes > block_size:
+            blocks.append((pairs[start][0], current))
+            start = end
+            current = 0
+        current += entry_bytes
+    blocks.append((pairs[start][0], current))
+    return blocks
+
+
+def check_block_cuts(pairs, block_size):
+    disk = RecordingDisk()
+    table = SSTable.build(1, disk, pairs, block_size=block_size)
+    blocks = [(image.entries[0][0], len(image)) for image in disk.written]
+    assert blocks == blocks_entry_by_entry(pairs, block_size)
+    assert table._block_first_keys == [key for key, __ in blocks]
+    assert table.data_bytes == sum(nbytes for __, nbytes in blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.binary(min_size=1, max_size=30), st.binary(max_size=120), min_size=1, max_size=80
+    ),
+    st.sampled_from([1, 16, 40, 64, 100, 256]),
+)
+def test_block_cuts_match_entry_by_entry_rule(mapping, block_size):
+    check_block_cuts(sorted(mapping.items()), block_size)
+
+
+def test_block_cuts_at_exact_fits_and_oversized_entries():
+    # 8-byte key + 10-byte value + 6-byte header = 24 bytes per entry.
+    pairs = [(ikey(i), b"v" * 10) for i in range(20)]
+    check_block_cuts(pairs, 96)  # exactly four entries per block
+    check_block_cuts(pairs, 95)  # three, the fourth would not fit
+    check_block_cuts(pairs, 24)  # one entry fills each block exactly
+    check_block_cuts(pairs, 23)  # every entry is larger than a block
+    mixed = [(ikey(i), b"v" * (200 if i % 5 == 0 else 10)) for i in range(20)]
+    check_block_cuts(mixed, 96)  # a 214-byte entry gets a block of its own
+
+
+def chunks_entry_by_entry(pairs, budget):
+    """Compaction output runs, cut one entry at a time: a run ends after
+    the entry that reaches ``budget``."""
+    chunks = []
+    chunk = []
+    size = 0
+    for key, value in pairs:
+        chunk.append((key, value))
+        size += len(key) + len(value) + 6
+        if size >= budget:
+            chunks.append(chunk)
+            chunk, size = [], 0
+    if chunk:
+        chunks.append(chunk)
+    return chunks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.binary(min_size=1, max_size=30), st.binary(max_size=120), min_size=1, max_size=80
+    ),
+    st.sampled_from([1, 24, 48, 100, 500, 10_000]),
+)
+def test_chunk_pairs_match_entry_by_entry_rule(mapping, budget):
+    pairs = sorted(mapping.items())
+    assert list(LSMStore._chunk_pairs(pairs, budget)) == chunks_entry_by_entry(pairs, budget)
+
+
+def test_chunk_pairs_at_exact_budget():
+    pairs = [(ikey(i), b"v" * 10) for i in range(10)]  # 24 bytes each
+    for budget in (24, 48, 72, 73, 240, 241):
+        assert list(LSMStore._chunk_pairs(pairs, budget)) == chunks_entry_by_entry(pairs, budget)
+
+
 def test_sstable_is_isolated_from_callers_pairs():
     disk = SimDisk()
     pairs = [(ikey(i), b"v%d" % i) for i in range(500)]
@@ -262,6 +381,21 @@ def test_sstable_iter_from_start(disk):
     table, pairs = make_table(disk, n=100)
     start = pairs[40][0]
     assert list(table.iter_from(start)) == pairs[40:]
+
+
+def test_sstable_iter_from_seeks_inside_the_first_block(disk):
+    table, pairs = make_table(disk, n=200, block_size=128)
+    first_keys = table._block_first_keys
+    assert len(first_keys) > 3
+    on_block = first_keys[2]
+    between = ikey(int.from_bytes(on_block, "big") - 1)  # last gap of block 1
+    starts = [b"", pairs[0][0], between, on_block, ikey(7), pairs[-1][0], ikey(10**9)]
+    for start in starts:
+        reads = disk.stats["reads"]
+        out = list(table.iter_from(start))
+        assert out == [p for p in pairs if p[0] >= start]
+        first = max(0, sum(1 for k in first_keys if k <= start) - 1)
+        assert disk.stats["reads"] - reads == table.block_count - first
 
 
 def test_sstable_block_cache_avoids_repeat_io(disk):

@@ -180,6 +180,28 @@ def test_compaction_merge_keeps_newest_of_many_runs(store, versions):
         assert len(keys) == 8 + (key in keys)
 
 
+def test_get_hashes_each_key_once(store, monkeypatch):
+    from repro.lsm import sstable
+    from repro.lsm import store as store_module
+
+    for k in range(0, 4000, 2):
+        store.put(ikey(k), b"v%d" % k)
+    for low in (0, 2000):  # two overlapping level-0 tables over the runs below
+        store.put(ikey(low), b"v%d" % low)
+        store.put(ikey(low + 1998), b"v%d" % (low + 1998))
+        store.flush()
+    assert len(store.levels[0]) == 2 and store.table_count >= 4
+    hashed = []
+    real = store_module.key_hash
+    monkeypatch.setattr(store_module, "key_hash", lambda key: hashed.append(key) or real(key))
+    monkeypatch.setattr(sstable, "key_hash", None)  # a table probe must not hash again
+    probes = [ikey(k) for k in (1, 2, 1001, 1002, 3999, 10**6)]
+    for key in probes:
+        expected = b"v%d" % int.from_bytes(key, "big") if key in (ikey(2), ikey(1002)) else None
+        assert store.get(key) == expected
+    assert hashed == probes
+
+
 def test_scan_skips_tombstones(store):
     for k in range(20):
         store.put(ikey(k), b"v")
